@@ -82,7 +82,7 @@ fn bench_multi_pipeline(c: &mut Criterion) {
     let naive = NaiveCp::new(&records, 0.1);
     let tesseract = Tesseract::fit(&records, &validation, N_CLASSES);
     let detectors: Vec<&dyn DriftDetector> = vec![&prom, &naive, &tesseract];
-    let config = PipelineConfig { window: WINDOW, double_buffer: true, ..Default::default() };
+    let config = PipelineConfig { window: WINDOW, in_flight: 1, ..Default::default() };
 
     // The pre-fan-out shape: comparing N detectors on one stream means N
     // full replays — each pipeline ingests (and clones) every sample

@@ -137,14 +137,12 @@ fn bench_stream_100k(c: &mut Criterion) {
     let prom = PromClassifier::new(calibration(256), PromConfig::default()).unwrap();
     let samples = stream(STREAM_LEN);
 
-    for (name, double_buffer) in
-        [("windowed_pipeline", false), ("windowed_pipeline_double_buffered", true)]
-    {
+    for (name, in_flight) in [("windowed_pipeline", 0), ("windowed_pipeline_double_buffered", 1)] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut pipeline = DeploymentPipeline::new(
                     &prom,
-                    PipelineConfig { window: 8192, double_buffer, ..Default::default() },
+                    PipelineConfig { window: 8192, in_flight, ..Default::default() },
                 );
                 let mut rejected = 0usize;
                 for report in pipeline.extend(samples.iter().cloned()) {

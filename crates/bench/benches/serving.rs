@@ -62,15 +62,13 @@ fn stream(n: usize) -> Vec<Sample> {
         .collect()
 }
 
-/// The pipeline every variant runs behind: full shard fan-out,
-/// double-buffered, two windows in flight (frozen policy, so overlap is
-/// legal).
+/// The pipeline every variant runs behind: full shard fan-out, two
+/// windows in flight (frozen policy, so a queue deeper than 1 is legal).
 fn pipeline_config() -> PipelineConfig {
     PipelineConfig {
         window: WINDOW,
         shards: available_shards(),
-        double_buffer: true,
-        in_flight_windows: 2,
+        in_flight: 2,
         ..Default::default()
     }
 }

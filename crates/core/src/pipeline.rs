@@ -16,23 +16,23 @@
 //!   scoped-thread form, kept as the independent *reference
 //!   implementation* the equivalence tier compares the pool against
 //!   (`tests/batch_equivalence.rs` asserts it equals sequential judging).
-//! * [`DeploymentPipeline`] — the streaming form: `push` samples as they
-//!   arrive, and every full window is judged on the pool, its rejects are
-//!   ranked under a [`SelectionPolicy`] (reject-vote fraction, or lowest
-//!   credibility through the rich per-expert path), the [`RelabelBudget`]
-//!   picks the slice worth ground-truth labels, and an optional window
-//!   hook hands the report plus the window's samples to the caller. With
-//!   [`PipelineConfig::double_buffer`] set, ingest overlaps judging: while
-//!   the workers judge window N, `push` keeps filling window N+1, and
-//!   reports drain strictly in window order with byte-identical contents —
-//!   one window late (the push completing window N+1 returns window N's
-//!   report; `flush` drains the tail).
-//! * [`MultiPipeline`] — the multi-detector form: one `push`/`flush`
-//!   stream fanned out to N registered detectors on one shared pool, each
-//!   window ingested once, every detector reporting exactly what its own
-//!   single-detector pipeline would have (optionally under one shared
-//!   relabeling budget, [`BudgetSharing::Shared`], for honest same-stream
-//!   detector comparison).
+//! * [`MultiPipeline`] — the one window engine: `push` samples as they
+//!   arrive into one stream fanned out to N ≥ 1 registered detectors, and
+//!   every full window is judged (inline on the caller, or on one shared
+//!   pool), its rejects are ranked under a [`SelectionPolicy`]
+//!   (reject-vote fraction, or lowest credibility through the rich
+//!   per-expert path), the [`RelabelBudget`] picks the slice worth
+//!   ground-truth labels, and an optional window hook hands the reports
+//!   plus the window's samples to the caller. Every detector reports
+//!   exactly what a single-detector pipeline would have (optionally under
+//!   one shared relabeling budget, [`BudgetSharing::Shared`], for honest
+//!   same-stream detector comparison). With [`PipelineConfig::in_flight`]
+//!   set, ingest overlaps judging: while the workers judge window N,
+//!   `push` keeps filling window N+1, and reports drain strictly in window
+//!   order with byte-identical contents — up to `in_flight` windows late
+//!   (`flush` drains the tail).
+//! * [`DeploymentPipeline`] — the single-detector view: one engine over
+//!   one detector, reporting that detector's [`WindowReport`] per window.
 //! * **In-pipeline online recalibration** — a pipeline built with
 //!   [`DeploymentPipeline::online`] closes the paper's Sec. 5.4 loop
 //!   *inside* the pipeline: each window's budget-selected relabels are
@@ -44,6 +44,7 @@
 //!   `absorb_relabeled` / `replace_record` overrides, so no window pays a
 //!   full recalibration rebuild (see `benches/recalibration.rs`).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::calibration::{ReservoirCalibration, ReservoirDecision, ReservoirSnapshot};
@@ -67,15 +68,14 @@ pub fn available_shards() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Validates [`PipelineConfig::in_flight_windows`] at pipeline build time:
-/// at least 1, and above 1 only under [`CalibrationPolicy::Frozen`] — a
-/// deeper queue submits window N+1 before window N is collected, which
-/// must never race with (or hide results from) online calibration folding.
+/// Validates [`PipelineConfig::in_flight`] at pipeline build time: above 1
+/// only under [`CalibrationPolicy::Frozen`] — a deeper queue submits
+/// window N+1 before window N is collected, which must never race with
+/// (or hide results from) online calibration folding.
 fn assert_in_flight_depth(config: &PipelineConfig) {
-    assert!(config.in_flight_windows >= 1, "in_flight_windows must be at least 1");
     assert!(
-        config.in_flight_windows == 1 || config.policy == CalibrationPolicy::Frozen,
-        "in_flight_windows > 1 requires CalibrationPolicy::Frozen: an online policy \
+        config.in_flight <= 1 || config.policy == CalibrationPolicy::Frozen,
+        "in_flight > 1 requires CalibrationPolicy::Frozen: an online policy \
          mutates the detector when a window is collected, and overlapped later \
          windows would race with (and judge blind to) that mutation"
     );
@@ -248,8 +248,8 @@ pub struct PipelineConfig {
     /// unit. Must be at least 1.
     pub window: usize,
     /// Persistent shard workers judging each window (0 and 1 both mean
-    /// sequential judging on the caller thread, unless
-    /// [`PipelineConfig::double_buffer`] asks for a worker anyway).
+    /// inline judging on the caller thread, unless
+    /// [`PipelineConfig::in_flight`] asks for a worker to hand windows to).
     pub shards: usize,
     /// Relabeling budget applied to each window's rejects.
     pub budget: RelabelBudget,
@@ -264,28 +264,23 @@ pub struct PipelineConfig {
     /// absorbed (ignored under [`CalibrationPolicy::Frozen`], which never
     /// absorbs).
     pub eviction: BaseEviction,
-    /// Overlap judging with ingest: when a window fills, hand it to the
-    /// shard workers and return to the caller immediately, so pushes keep
-    /// filling window N+1 while the pool judges window N. Reports then
-    /// arrive one window *late* — the `push` that fills window N+1 returns
-    /// window N's report, and [`DeploymentPipeline::flush`] must be called
-    /// until it returns `None` to drain the tail — but their contents
-    /// (judgements, selection, absorption, calibration sizes) are
-    /// byte-identical to the non-overlapped pipeline
-    /// (`tests/pipeline_equivalence.rs`).
-    pub double_buffer: bool,
-    /// Maximum windows judging on the pool at once in double-buffered
-    /// mode (ignored without [`PipelineConfig::double_buffer`]). The
-    /// default, 1, is classic double-buffering: ingest N+1 overlaps
-    /// judging N. A deeper queue keeps up to this many windows in flight
-    /// simultaneously, so the pool's shared job queue can interleave
-    /// window N+1's shard jobs into window N's straggler idle time —
-    /// reports then arrive up to this many windows late, still strictly
-    /// in window order and byte-identical. Must be at least 1; depths
-    /// above 1 require [`CalibrationPolicy::Frozen`], because overlapped
-    /// judging of window N+1 must never race with (or observe) the
-    /// calibration folding that collecting window N performs.
-    pub in_flight_windows: usize,
+    /// Windows judging on the shard workers while ingest continues. 0
+    /// (the default) is synchronous: the push that fills window N judges
+    /// it to completion and returns its report. At depth d ≥ 1 a filled
+    /// window is handed to the workers and the call returns immediately,
+    /// so pushes keep filling window N+1 while the pool judges window N
+    /// (d = 1 is classic double-buffering); with d > 1 the pool's shared
+    /// job queue can also interleave later windows' shard jobs into an
+    /// earlier window's straggler idle time. Reports then arrive up to d
+    /// windows *late* — the `push` that fills window N+d returns window
+    /// N's report, and `flush` must be called until it returns `None` to
+    /// drain the tail — but strictly in window order and with
+    /// byte-identical contents (judgements, selection, absorption,
+    /// calibration sizes; `tests/pipeline_equivalence.rs`). Depths above
+    /// 1 require [`CalibrationPolicy::Frozen`], because overlapped judging
+    /// of window N+1 must never race with (or observe) the calibration
+    /// folding that collecting window N performs.
+    pub in_flight: usize,
 }
 
 impl Default for PipelineConfig {
@@ -297,8 +292,7 @@ impl Default for PipelineConfig {
             selection: SelectionPolicy::RejectVote,
             policy: CalibrationPolicy::Frozen,
             eviction: BaseEviction::Keep,
-            double_buffer: false,
-            in_flight_windows: 1,
+            in_flight: 0,
         }
     }
 }
@@ -358,12 +352,6 @@ pub struct WindowReport {
     /// when the detector exposes one ([`DriftDetector::calibration_size`]).
     pub calibration_size: Option<usize>,
 }
-
-/// The per-window hook: receives each report together with the window's
-/// samples (`samples[i]` is global index `report.start + i`), so the caller
-/// can queue the `relabel` picks for ground-truth labeling and recalibrate
-/// the detector between streams.
-pub type WindowHook<'a> = Box<dyn FnMut(&WindowReport, &[Sample]) + Send + 'a>;
 
 /// The caller-supplied expert labeler of an online pipeline: given a
 /// relabel pick (its global stream index and the sample), returns the
@@ -456,8 +444,8 @@ impl PendingWindow {
 
 /// Everything one detector carries through a pipeline's lifetime: its
 /// handle, its judging mode, its reservoir bookkeeping, and its stats.
-/// [`DeploymentPipeline`] owns one; [`MultiPipeline`] owns N and drives
-/// them over one shared sample stream.
+/// [`MultiPipeline`] owns N ≥ 1 and drives them over one shared sample
+/// stream.
 struct DetectorState<'a> {
     detector: DetectorHandle<'a>,
     /// Judge windows through the rich per-expert path
@@ -559,64 +547,6 @@ impl<'a> DetectorState<'a> {
     /// by the detector's name.
     fn attach_metrics(&mut self, sink: &MetricsSink) {
         self.instruments = Some(DetectorInstruments::resolve(sink, self.detector.get().name()));
-    }
-
-    /// Judges a window to completion — on `pool` when one exists,
-    /// inline with `scratch` otherwise — in the form the selection
-    /// policy picked at construction.
-    fn judge_sync(
-        &self,
-        pool: Option<&ShardPool>,
-        scratch: &mut JudgeScratch,
-        samples: &[Sample],
-    ) -> Judged {
-        let detector = self.detector.get();
-        match (self.rich, pool) {
-            (false, Some(pool)) => Judged::Flat(pool.judge(detector, samples)),
-            (false, None) => Judged::Flat(detector.judge_batch(samples)),
-            (true, Some(pool)) => Judged::Rich(pool.map(samples, |shard, scratch| {
-                detector.judge_batch_rich_scratch(shard, scratch).expect(RICH_IS_GLOBAL)
-            })),
-            (true, None) => Judged::Rich(
-                detector.judge_batch_rich_scratch(samples, scratch).expect(RICH_IS_GLOBAL),
-            ),
-        }
-    }
-
-    /// Starts judging a window on the pool without waiting (the
-    /// double-buffered ingest path).
-    ///
-    /// # Safety
-    ///
-    /// Lifetime erasure only — see [`ShardPool::submit_with`]: the caller
-    /// must keep `samples`' heap buffer and this state's detector alive
-    /// (and the detector un-mutated) until the handle is collected or
-    /// dropped.
-    unsafe fn submit(&self, pool: &ShardPool, samples: &[Sample]) -> PendingWindow {
-        // SAFETY: erasing the detector borrow to 'static for the worker
-        // jobs; the caller contract above keeps it alive and un-mutated
-        // until the handle drains.
-        let detector: &'static dyn DriftDetector =
-            unsafe { std::mem::transmute(self.detector.get()) };
-        if self.rich {
-            // SAFETY: forwarded caller contract (samples outlive the handle).
-            PendingWindow::Rich(unsafe {
-                pool.submit_with(
-                    move |shard, scratch| {
-                        detector.judge_batch_rich_scratch(shard, scratch).expect(RICH_IS_GLOBAL)
-                    },
-                    samples,
-                )
-            })
-        } else {
-            // SAFETY: forwarded caller contract (samples outlive the handle).
-            PendingWindow::Flat(unsafe {
-                pool.submit_with(
-                    move |shard, scratch| detector.judge_batch_scratch(shard, scratch),
-                    samples,
-                )
-            })
-        }
     }
 
     /// The per-window bookkeeping every execution mode shares:
@@ -776,7 +706,7 @@ fn evict_for_absorb(detector: &mut dyn DriftDetector, eviction: BaseEviction) {
 /// [`MultiPipeline::fanout`] — one **fused** job set whose every sample is
 /// judged once and re-thresholded per served configuration.
 enum PendingWindows {
-    /// One handle per detector (exactly one for [`DeploymentPipeline`]).
+    /// One handle per registered detector, in registration order.
     PerDetector(Vec<PendingWindow>),
     /// One shared handle: each stitched element is one sample's
     /// judgements across every served configuration, in registration
@@ -895,9 +825,15 @@ fn validate_pipeline_snapshot(
 }
 
 /// A streaming deployment front-end over any [`DriftDetector`]: buffers
-/// pushed samples into fixed-size windows, judges each window on shard
-/// threads (bit-identical to sequential judging), and applies the
-/// relabeling budget per window.
+/// pushed samples into fixed-size windows, judges each window (inline, or
+/// on shard threads — bit-identical to sequential judging), and applies
+/// the relabeling budget per window.
+///
+/// This is the single-detector view of the one window engine: it holds a
+/// [`MultiPipeline`] over exactly one detector and unwraps that
+/// detector's [`WindowReport`] from every [`MultiReport`], so both
+/// front-ends share one buffer, pool, in-flight queue and per-window
+/// bookkeeping.
 ///
 /// ```
 /// use prom_core::detector::{DriftDetector, Judgement, Sample};
@@ -924,29 +860,7 @@ fn validate_pipeline_snapshot(
 /// assert!(pipeline.flush().is_none(), "nothing left buffered");
 /// ```
 pub struct DeploymentPipeline<'a> {
-    // Field order matters for `Drop`: an in-flight window drains its
-    // worker jobs (which borrow the detector and the window's samples)
-    // before the pool joins its workers.
-    /// The windows currently judging on the pool (oldest first), in
-    /// double-buffered mode — at most
-    /// [`PipelineConfig::in_flight_windows`] of them.
-    in_flight: std::collections::VecDeque<InFlight>,
-    /// The persistent shard workers (absent when judging runs inline on
-    /// the caller thread).
-    pool: Option<ShardPool>,
-    state: DetectorState<'a>,
-    config: PipelineConfig,
-    buffer: Vec<Sample>,
-    /// Recycled window allocation: the samples of the last collected
-    /// window, cleared, ready to become the next ingest buffer.
-    spare: Option<Vec<Sample>>,
-    /// Global index of the first sample of the next window to be judged
-    /// (submission-time counter; `stats.judged` advances at collection).
-    next_start: usize,
-    hook: Option<WindowHook<'a>>,
-    oracle: Option<LabelOracle<'a>>,
-    /// The caller-side scratch for inline (pool-less) rich judging.
-    scratch: JudgeScratch,
+    engine: MultiPipeline<'a>,
 }
 
 impl<'a> DeploymentPipeline<'a> {
@@ -965,7 +879,7 @@ impl<'a> DeploymentPipeline<'a> {
             "an online calibration policy needs DeploymentPipeline::online \
              (exclusive detector access and a label oracle)"
         );
-        Self::build(DetectorHandle::Shared(detector), config, None)
+        Self { engine: MultiPipeline::build(vec![DetectorHandle::Shared(detector)], config, None) }
     }
 
     /// Creates an *online* pipeline: each window's budget-selected relabel
@@ -977,45 +891,25 @@ impl<'a> DeploymentPipeline<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.window` is 0, or if a
-    /// [`CalibrationPolicy::Reservoir`] capacity is 0.
+    /// Panics if `config.window` is 0, if a
+    /// [`CalibrationPolicy::Reservoir`] capacity is 0, or if
+    /// [`PipelineConfig::in_flight`] exceeds 1 under an online policy.
     pub fn online(
         detector: &'a mut dyn DriftDetector,
         config: PipelineConfig,
         oracle: impl FnMut(usize, &Sample) -> Option<Truth> + Send + 'a,
     ) -> Self {
-        Self::build(DetectorHandle::Exclusive(detector), config, Some(Box::new(oracle)))
+        Self { engine: MultiPipeline::online(vec![detector], config, oracle) }
     }
 
-    fn build(
-        detector: DetectorHandle<'a>,
-        config: PipelineConfig,
-        oracle: Option<LabelOracle<'a>>,
-    ) -> Self {
-        assert!(config.window >= 1, "pipeline window must hold at least one sample");
-        assert_in_flight_depth(&config);
-        // Double-buffering needs at least one worker to hand windows to;
-        // otherwise shards <= 1 judges inline without any threads.
-        let pool = (config.shards >= 2 || config.double_buffer)
-            .then(|| ShardPool::new(config.shards.max(1)));
-        Self {
-            in_flight: std::collections::VecDeque::new(),
-            pool,
-            state: DetectorState::new(detector, &config),
-            config,
-            buffer: Vec::with_capacity(config.window),
-            spare: None,
-            next_start: 0,
-            hook: None,
-            oracle,
-            scratch: JudgeScratch::new(),
-        }
-    }
-
-    /// Installs the per-window hook (replacing any previous one).
+    /// Installs the per-window hook (replacing any previous one): it
+    /// receives each report together with the window's samples
+    /// (`samples[i]` is global index `report.start + i`), so the caller
+    /// can queue the `relabel` picks for ground-truth labeling and
+    /// recalibrate the detector between streams.
     #[must_use]
-    pub fn on_window(mut self, hook: impl FnMut(&WindowReport, &[Sample]) + Send + 'a) -> Self {
-        self.hook = Some(Box::new(hook));
+    pub fn on_window(mut self, mut hook: impl FnMut(&WindowReport, &[Sample]) + Send + 'a) -> Self {
+        self.engine = self.engine.on_window(move |multi, samples| hook(&multi.reports[0], samples));
         self
     }
 
@@ -1026,32 +920,21 @@ impl<'a> DeploymentPipeline<'a> {
     /// resolved and the per-window bookkeeping skips metrics entirely.
     #[must_use]
     pub fn with_metrics(mut self, sink: &MetricsSink) -> Self {
-        self.state.attach_metrics(sink);
-        if let Some(pool) = &self.pool {
-            pool.attach_metrics(sink);
-        }
+        self.engine = self.engine.with_metrics(sink);
         self
     }
 
     /// Pushes one sample; returns a window report when one is due.
     ///
-    /// Without [`PipelineConfig::double_buffer`], the push that completes
+    /// With [`PipelineConfig::in_flight`] at 0, the push that completes
     /// window N returns window N's report (judging runs to completion
-    /// inside the call). With it, that push *submits* window N to the
-    /// shard workers and returns the report of window N−1 (collected just
-    /// before the submission, so reports still arrive strictly in window
-    /// order) — ingest never stalls behind judging.
+    /// inside the call). At depth d ≥ 1, that push *submits* window N to
+    /// the shard workers and returns the report of window N−d once the
+    /// queue is full (collected just before the submission, so reports
+    /// still arrive strictly in window order) — ingest never stalls
+    /// behind judging.
     pub fn push(&mut self, sample: Sample) -> Option<WindowReport> {
-        self.buffer.push(sample);
-        self.state.stats.pushed += 1;
-        if self.buffer.len() < self.config.window {
-            return None;
-        }
-        if self.config.double_buffer && self.pool.is_some() {
-            self.rotate()
-        } else {
-            Some(self.emit())
-        }
+        self.engine.push(sample).map(MultiReport::into_single)
     }
 
     /// Pushes every sample of `stream`, collecting the reports of all
@@ -1061,45 +944,29 @@ impl<'a> DeploymentPipeline<'a> {
     }
 
     /// Drains pending work in window order: first the in-flight windows
-    /// (oldest first, if double-buffering left any judging on the pool),
-    /// then whatever is buffered as a final (possibly short) window.
-    /// Returns one report per call; **call until it returns `None`** to
-    /// drain everything (at most [`PipelineConfig::in_flight_windows`]
-    /// in-flight reports, then the partial tail).
-    ///
-    /// Double-buffering delays reports by up to
-    /// [`PipelineConfig::in_flight_windows`] windows — at depth 1, the
-    /// `push` that fills window N+1 returns window N's report — but never
-    /// reorders them: `flush` always yields the oldest outstanding window
-    /// first, so reports arrive strictly in window order in every
-    /// execution mode (the same contract as [`MultiPipeline::flush`],
-    /// which extends it per detector).
-    ///
-    /// Once nothing is pending — in particular on a second `flush` after a
-    /// full drain, when the partial window is empty — `flush` is a
-    /// documented no-op returning `None`: it judges nothing, reports
-    /// nothing, calls no hook, and leaves every counter untouched, so
-    /// defensive double-flushing is always safe.
+    /// (oldest first), then whatever is buffered as a final (possibly
+    /// short) window — see [`MultiPipeline::flush`]. Returns one report
+    /// per call; **call until it returns `None`** to drain everything.
+    /// Once nothing is pending, `flush` is a documented no-op returning
+    /// `None`: it judges nothing, reports nothing, calls no hook, and
+    /// leaves every counter untouched, so defensive double-flushing is
+    /// always safe.
     pub fn flush(&mut self) -> Option<WindowReport> {
-        if let Some(window) = self.in_flight.pop_front() {
-            return Some(self.finish_in_flight(window));
-        }
-        (!self.buffer.is_empty()).then(|| self.emit())
+        self.engine.flush().map(MultiReport::into_single)
     }
 
     /// Samples accepted by `push` but not yet reported: the partial ingest
-    /// buffer plus, in double-buffered mode, the windows currently being
-    /// judged on the shard workers.
+    /// buffer plus the windows currently judging on the shard workers.
     pub fn pending(&self) -> usize {
-        self.buffer.len() + self.in_flight.iter().map(|w| w.samples.len()).sum::<usize>()
+        self.engine.pending()
     }
 
-    /// Lifetime totals. In double-buffered mode `judged` (and the other
-    /// per-window counters) advance when a window's report is collected,
-    /// so they can trail `pushed` by up to one full window plus the
-    /// partial buffer.
+    /// Lifetime totals. With [`PipelineConfig::in_flight`] at d ≥ 1,
+    /// `judged` (and the other per-window counters) advance when a
+    /// window's report is collected, so they can trail `pushed` by up to
+    /// d full windows plus the partial buffer.
     pub fn stats(&self) -> PipelineStats {
-        self.state.stats
+        self.state().stats
     }
 
     /// Lifetime reservoir churn: how many absorbed relabels *replaced*
@@ -1110,16 +977,21 @@ impl<'a> DeploymentPipeline<'a> {
     /// [`DeploymentPipeline::snapshot`] — a restored pipeline restarts
     /// its churn count at 0.
     pub fn reservoir_churn(&self) -> usize {
-        self.state.churn
+        self.state().churn
+    }
+
+    /// The one detector's state inside the engine.
+    fn state(&self) -> &DetectorState<'a> {
+        &self.engine.states[0]
     }
 
     /// Captures everything this pipeline needs to resume **bit-identically**
     /// in a later process: the detector's portable state
     /// ([`DriftDetector::snapshot_state`]), the reservoir sampler's exact
     /// mid-stream position, the partial ingest buffer, and the stream
-    /// counters. Any in-flight double-buffered windows are drained first —
-    /// their reports are returned alongside the state, in window order — so
-    /// a snapshot never captures a half-judged window.
+    /// counters. Any in-flight windows are drained first — their reports
+    /// are returned alongside the state, in window order — so a snapshot
+    /// never captures a half-judged window.
     ///
     /// Feed the value to [`DeploymentPipeline::restore_online`] (or
     /// [`DeploymentPipeline::restore`] for frozen pipelines) to resume;
@@ -1133,25 +1005,26 @@ impl<'a> DeploymentPipeline<'a> {
     /// such a pipeline elsewhere could not reproduce its absorbed records.
     pub fn snapshot(&mut self) -> Result<(Vec<WindowReport>, Value), DeError> {
         let mut reports = Vec::new();
-        while let Some(window) = self.in_flight.pop_front() {
-            reports.push(self.finish_in_flight(window));
+        while let Some(window) = self.engine.in_flight.pop_front() {
+            reports.push(self.engine.finish_in_flight(window).into_single());
         }
-        let detector = self.state.detector.get().snapshot_state();
-        if self.config.policy != CalibrationPolicy::Frozen && detector.is_none() {
+        let state = self.state();
+        let detector = state.detector.get().snapshot_state();
+        if self.engine.config.policy != CalibrationPolicy::Frozen && detector.is_none() {
             return Err(DeError::custom(format!(
                 "detector '{}' exposes no portable state, so this online pipeline \
                  cannot be snapshotted",
-                self.state.detector.get().name()
+                state.detector.get().name()
             )));
         }
         let snap = PipelineSnapshot {
             pipeline: PIPELINE_SNAPSHOT_TAG.to_string(),
-            window: self.config.window,
+            window: self.engine.config.window,
             detector,
-            reservoir: self.state.reservoir.as_ref().map(ReservoirCalibration::snapshot),
-            buffer: self.buffer.clone(),
-            next_start: self.next_start,
-            stats: self.state.stats,
+            reservoir: state.reservoir.as_ref().map(ReservoirCalibration::snapshot),
+            buffer: self.engine.buffer.clone(),
+            next_start: self.engine.next_start,
+            stats: state.stats,
         };
         Ok((reports, snap.to_value()))
     }
@@ -1167,9 +1040,8 @@ impl<'a> DeploymentPipeline<'a> {
     /// it: same `window`, same calibration policy family, same reservoir
     /// capacity. (A [`CalibrationPolicy::Reservoir`] seed is superseded by
     /// the snapshot's saved RNG position — the sampler resumes mid-stream,
-    /// it does not restart.) Execution knobs — `shards`, `double_buffer`,
-    /// `in_flight_windows` — may differ freely; they never change report
-    /// contents.
+    /// it does not restart.) Execution knobs — `shards` and `in_flight` —
+    /// may differ freely; they never change report contents.
     ///
     /// # Errors
     ///
@@ -1231,92 +1103,12 @@ impl<'a> DeploymentPipeline<'a> {
     /// Installs a validated snapshot's stream position into a freshly built
     /// pipeline (the shared tail of both restore constructors).
     fn resume(&mut self, snap: PipelineSnapshot) {
-        self.state.reservoir = snap.reservoir.as_ref().map(ReservoirCalibration::restore);
-        self.buffer = snap.buffer;
-        self.next_start = snap.next_start;
-        self.state.stats = snap.stats;
-    }
-
-    /// Synchronous window emission: judge the buffered window to
-    /// completion (on the pool when one exists) and report it.
-    fn emit(&mut self) -> WindowReport {
-        let samples = std::mem::take(&mut self.buffer);
-        let start = self.next_start;
-        self.next_start += samples.len();
-        let judged = self.state.judge_sync(self.pool.as_ref(), &mut self.scratch, &samples);
-        let report = self.finish_window(&samples, judged, start);
-        // Recycle the window's allocation as the next ingest buffer.
-        let mut samples = samples;
-        samples.clear();
-        self.buffer = samples;
-        report
-    }
-
-    /// Double-buffered rotation: collect the oldest in-flight window once
-    /// the queue is at its configured depth (folding its relabels — which
-    /// at depth 1 is why collection must precede the next submission:
-    /// window N+1's judging has to see the calibration state window N
-    /// left behind, exactly as in the sequential order; deeper queues are
-    /// frozen-only, where folding never mutates), then hand the
-    /// just-filled buffer to the pool and return immediately.
-    fn rotate(&mut self) -> Option<WindowReport> {
-        let prev = (self.in_flight.len() >= self.config.in_flight_windows)
-            .then(|| self.in_flight.pop_front())
-            .flatten()
-            .map(|window| self.finish_in_flight(window));
-        let next = self.spare.take().unwrap_or_default();
-        let samples = std::mem::replace(&mut self.buffer, next);
-        let start = self.next_start;
-        self.next_start += samples.len();
-        // SAFETY: the detector outlives the pipeline (`'a` borrow), the
-        // handle is stored in `self.in_flight` next to the sample buffer
-        // its jobs point into and always collected or dropped (field
-        // order drains it before the buffer and the pool go away), and
-        // the only detector mutation (`fold_relabels`) happens in
-        // `finish_window`, strictly after every handle submitted earlier
-        // has been collected (depth 1), or never at all (deeper queues
-        // are frozen-only — `assert_in_flight_depth`).
-        let pending = unsafe {
-            let pool = self.pool.as_ref().expect("double-buffered mode always builds a pool");
-            self.state.submit(pool, &samples)
-        };
-        self.in_flight.push_back(InFlight {
-            pending: PendingWindows::PerDetector(vec![pending]),
-            samples,
-            start,
-        });
-        prev
-    }
-
-    /// Blocks for an in-flight window's judgements and reports it.
-    fn finish_in_flight(&mut self, window: InFlight) -> WindowReport {
-        let InFlight { pending, samples, start } = window;
-        let PendingWindows::PerDetector(mut pending) = pending else {
-            unreachable!("single-detector pipelines never submit fused windows");
-        };
-        let judged = pending.pop().expect("single-detector windows carry one handle").collect();
-        let report = self.finish_window(&samples, judged, start);
-        let mut samples = samples;
-        samples.clear();
-        self.spare = Some(samples);
-        report
-    }
-
-    /// Per-window bookkeeping (see [`DetectorState::finish_window`]) plus
-    /// the caller's hook.
-    fn finish_window(&mut self, samples: &[Sample], judged: Judged, start: usize) -> WindowReport {
-        let report = self.state.finish_window(
-            samples,
-            judged,
-            start,
-            &self.config,
-            self.oracle.as_mut(),
-            None,
-        );
-        if let Some(hook) = self.hook.as_mut() {
-            hook(&report, samples);
-        }
-        report
+        let engine = &mut self.engine;
+        engine.buffer = snap.buffer;
+        engine.next_start = snap.next_start;
+        let state = &mut engine.states[0];
+        state.reservoir = snap.reservoir.as_ref().map(ReservoirCalibration::restore);
+        state.stats = snap.stats;
     }
 }
 
@@ -1361,27 +1153,41 @@ pub struct MultiReport {
     pub reports: Vec<WindowReport>,
 }
 
+impl MultiReport {
+    /// The only per-detector report of a single-detector window.
+    pub(crate) fn into_single(self) -> WindowReport {
+        debug_assert_eq!(self.reports.len(), 1, "a single-detector window carries one report");
+        self.reports.into_iter().next().expect("every window reports its detector")
+    }
+}
+
 /// The multi-detector window hook: each [`MultiReport`] together with the
 /// window's samples (`samples[i]` is global index `report.start + i`).
 pub type MultiWindowHook<'a> = Box<dyn FnMut(&MultiReport, &[Sample]) + Send + 'a>;
 
-/// A streaming deployment front-end that serves **N detectors over one
-/// sample stream**: each window is ingested once and fanned out to every
-/// registered detector as independent jobs on one shared [`ShardPool`],
-/// so comparing detectors in production shape no longer means replaying
-/// the stream (and re-paying the underlying model's forward pass) once
-/// per detector.
+/// A streaming deployment front-end that serves **N ≥ 1 detectors over one
+/// sample stream** — the one window engine behind every pipeline
+/// ([`DeploymentPipeline`] is its single-detector view). Each window is
+/// ingested once and judged for every registered detector — inline on
+/// the caller thread, or as independent jobs on one shared [`ShardPool`]
+/// — so comparing detectors in production shape no longer means
+/// replaying the stream (and re-paying the underlying model's forward
+/// pass) once per detector.
 ///
-/// Everything [`DeploymentPipeline`] guarantees holds per detector:
-/// reports are bit-identical to N independent single-detector pipelines
-/// over the same stream — judgements, flagged/relabel indices, online
-/// absorption, post-run calibration sets — in every execution mode
-/// (`tests/pipeline_equivalence.rs`), provided the label oracle is a pure
-/// function of `(global index, sample)`. With
-/// [`PipelineConfig::double_buffer`], all N detectors' jobs for window W
-/// overlap with the ingest of window W+1 on the same worker pool, and
-/// reports arrive one window late exactly as in the single-detector
-/// pipeline ([`MultiPipeline::flush`] drains the tail).
+/// Reports are bit-identical per detector to N independent
+/// single-detector pipelines over the same stream — judgements,
+/// flagged/relabel indices, online absorption, post-run calibration sets
+/// — in every execution mode (`tests/pipeline_equivalence.rs`), provided
+/// the label oracle is a pure function of `(global index, sample)`.
+///
+/// A pool is built only when there is something to hand it: `shards ≥ 2`
+/// (parallel judging) or [`PipelineConfig::in_flight`] ≥ 1 (overlapped
+/// judging). Otherwise every window is judged inline with one scratch
+/// owned by the pipeline — no worker thread, no cross-thread handoff.
+/// With `in_flight` at d ≥ 1, all N detectors' jobs for window W overlap
+/// with the ingest of the following windows on the same worker pool, and
+/// reports arrive up to d windows late ([`MultiPipeline::flush`] drains
+/// the tail).
 ///
 /// ```
 /// use prom_core::detector::{DriftDetector, Judgement, Sample};
@@ -1414,23 +1220,23 @@ pub struct MultiPipeline<'a> {
     // Field order matters for `Drop`: an in-flight window drains its
     // worker jobs (which borrow the detectors and the window's samples)
     // before the pool joins its workers.
-    /// The windows currently judging on the pool (oldest first, one
-    /// pending handle set per detector per window), in double-buffered
-    /// mode — at most [`PipelineConfig::in_flight_windows`] of them.
-    in_flight: std::collections::VecDeque<InFlight>,
-    /// The shared persistent shard workers every detector's windows are
-    /// judged on.
-    pool: ShardPool,
+    /// The windows currently judging on the pool (oldest first), at most
+    /// [`PipelineConfig::in_flight`] of them.
+    in_flight: VecDeque<InFlight>,
+    /// The shared persistent shard workers (absent when every window is
+    /// judged inline on the caller thread).
+    pool: Option<ShardPool>,
     states: Vec<DetectorState<'a>>,
     config: PipelineConfig,
     sharing: BudgetSharing,
     buffer: Vec<Sample>,
-    /// Recycled window allocation (see [`DeploymentPipeline`]).
+    /// Recycled window allocation: the samples of the last collected
+    /// window, cleared, ready to become the next ingest buffer.
     spare: Option<Vec<Sample>>,
-    /// Global index of the first sample of the next window to be judged.
+    /// Global index of the first sample of the next window to be judged
+    /// (submission-time counter; the per-detector stats advance at
+    /// collection).
     next_start: usize,
-    /// Windows reported so far (every detector reports every window).
-    windows: usize,
     hook: Option<MultiWindowHook<'a>>,
     oracle: Option<LabelOracle<'a>>,
     /// The fused fan-out engine, when this pipeline was built with
@@ -1438,14 +1244,16 @@ pub struct MultiPipeline<'a> {
     /// pass per sample and re-thresholded per served configuration,
     /// instead of one independent full judging job per detector.
     fused: Option<FusedFanout<'a>>,
+    /// The caller-side scratch for inline (pool-less) judging.
+    scratch: JudgeScratch,
 }
 
 /// The shared-kernel engine behind [`MultiPipeline::fanout`].
 struct FusedFanout<'a> {
     base: &'a PromClassifier,
     /// One threshold configuration per registered detector, in
-    /// registration order. `Arc`ed so the double-buffered submission can
-    /// hand the worker closure a `'static` handle without transmuting.
+    /// registration order. `Arc`ed so the pooled submission can hand the
+    /// worker closure a `'static` handle without transmuting.
     configs: Arc<[PromConfig]>,
 }
 
@@ -1470,10 +1278,8 @@ fn fanout_rows(
     rows
 }
 
-/// Transposes stitched sample-major fan-out rows back into one
-/// [`Judged`] window per detector, in the form each detector's selection
-/// policy picked at construction (rich, or flattened exactly like
-/// [`DriftDetector::judge_batch`] flattens).
+/// Transposes stitched sample-major fan-out rows back into one column per
+/// served configuration (see [`fanout_judged`]).
 fn split_fanout(rows: Vec<Vec<PromJudgement>>, states: &[DetectorState<'_>]) -> Vec<Judged> {
     let mut columns: Vec<Vec<PromJudgement>> =
         (0..states.len()).map(|_| Vec::with_capacity(rows.len())).collect();
@@ -1483,6 +1289,13 @@ fn split_fanout(rows: Vec<Vec<PromJudgement>>, states: &[DetectorState<'_>]) -> 
             column.push(judgement);
         }
     }
+    fanout_judged(columns, states)
+}
+
+/// One [`Judged`] window per detector from its fan-out column, in the
+/// form each detector's selection policy picked at construction (rich, or
+/// flattened exactly like [`DriftDetector::judge_batch`] flattens).
+fn fanout_judged(columns: Vec<Vec<PromJudgement>>, states: &[DetectorState<'_>]) -> Vec<Judged> {
     columns
         .into_iter()
         .zip(states)
@@ -1528,8 +1341,9 @@ impl<'a> MultiPipeline<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `detectors` is empty, if `config.window` is 0, or if a
-    /// [`CalibrationPolicy::Reservoir`] capacity is 0.
+    /// Panics if `detectors` is empty, if `config.window` is 0, if a
+    /// [`CalibrationPolicy::Reservoir`] capacity is 0, or if
+    /// [`PipelineConfig::in_flight`] exceeds 1 under an online policy.
     pub fn online(
         detectors: Vec<&'a mut dyn DriftDetector>,
         config: PipelineConfig,
@@ -1599,22 +1413,21 @@ impl<'a> MultiPipeline<'a> {
         assert_in_flight_depth(&config);
         let states = handles.into_iter().map(|h| DetectorState::new(h, &config)).collect();
         Self {
-            in_flight: std::collections::VecDeque::new(),
-            // The fan-out always runs on a pool: with one worker the
-            // single-chunk windows still judge inline on the caller via
-            // the pool's owned scratch (no cross-thread handoff), and
-            // double-buffering has a worker to hand windows to.
-            pool: ShardPool::new(config.shards.max(1)),
+            in_flight: VecDeque::new(),
+            // Overlapped judging needs at least one worker to hand windows
+            // to; otherwise shards <= 1 judges inline without any threads.
+            pool: (config.shards >= 2 || config.in_flight >= 1)
+                .then(|| ShardPool::new(config.shards.max(1))),
             states,
             config,
             sharing: BudgetSharing::PerDetector,
             buffer: Vec::with_capacity(config.window),
             spare: None,
             next_start: 0,
-            windows: 0,
             hook: None,
             oracle,
             fused: None,
+            scratch: JudgeScratch::new(),
         }
     }
 
@@ -1644,15 +1457,17 @@ impl<'a> MultiPipeline<'a> {
     }
 
     /// Publishes every detector's per-window counters and the shared
-    /// pool's job counters into `sink`'s registry, one `detector=<name>`
-    /// label per registered detector. See
+    /// pool's job counters (when a pool exists) into `sink`'s registry,
+    /// one `detector=<name>` label per registered detector. See
     /// [`DeploymentPipeline::with_metrics`].
     #[must_use]
     pub fn with_metrics(mut self, sink: &MetricsSink) -> Self {
         for state in &mut self.states {
             state.attach_metrics(sink);
         }
-        self.pool.attach_metrics(sink);
+        if let Some(pool) = &self.pool {
+            pool.attach_metrics(sink);
+        }
         self
     }
 
@@ -1667,10 +1482,10 @@ impl<'a> MultiPipeline<'a> {
     }
 
     /// Pushes one sample; returns a window's worth of per-detector
-    /// reports when one is due. The double-buffered contract is the same
-    /// one-window-late deal as [`DeploymentPipeline::push`]: the push
-    /// that fills window N+1 returns window N's reports, and
-    /// [`MultiPipeline::flush`] drains the tail.
+    /// reports when one is due. Synchronously (`in_flight` 0) that is the
+    /// window this push filled; at depth d ≥ 1 the push that fills window
+    /// N+d returns window N's reports, and [`MultiPipeline::flush`] drains
+    /// the tail.
     pub fn push(&mut self, sample: Sample) -> Option<MultiReport> {
         self.buffer.push(sample);
         for state in &mut self.states {
@@ -1679,10 +1494,10 @@ impl<'a> MultiPipeline<'a> {
         if self.buffer.len() < self.config.window {
             return None;
         }
-        if self.config.double_buffer {
-            self.rotate()
-        } else {
+        if self.config.in_flight == 0 {
             Some(self.emit())
+        } else {
+            self.rotate()
         }
     }
 
@@ -1692,17 +1507,16 @@ impl<'a> MultiPipeline<'a> {
         stream.into_iter().filter_map(|s| self.push(s)).collect()
     }
 
-    /// Drains pending work in window order, exactly like
-    /// [`DeploymentPipeline::flush`]: first the in-flight window (if
-    /// double-buffering left one judging on the pool), then whatever is
-    /// buffered as a final (possibly short) window; one report-set per
-    /// call, **call until it returns `None`**. Within every
+    /// Drains pending work in window order: first the in-flight windows
+    /// (oldest first, up to [`PipelineConfig::in_flight`] of them), then
+    /// whatever is buffered as a final (possibly short) window; one
+    /// report-set per call, **call until it returns `None`**. Within every
     /// [`MultiReport`] the per-detector reports are already in
     /// registration order, and successive `MultiReport`s are in window
-    /// order for every detector — double-buffering delays reports by one
-    /// window but never reorders them. Once nothing is pending, `flush`
-    /// is the same documented no-op: judges nothing, reports nothing,
-    /// calls no hook, leaves every counter untouched.
+    /// order for every detector — overlapped judging delays reports by up
+    /// to `in_flight` windows but never reorders them. Once nothing is
+    /// pending, `flush` is a documented no-op: judges nothing, reports
+    /// nothing, calls no hook, leaves every counter untouched.
     pub fn flush(&mut self) -> Option<MultiReport> {
         if let Some(window) = self.in_flight.pop_front() {
             return Some(self.finish_in_flight(window));
@@ -1730,67 +1544,39 @@ impl<'a> MultiPipeline<'a> {
     }
 
     /// Synchronous window emission: judge the buffered window to
-    /// completion for every detector (each on the shared pool, one
-    /// detector at a time) and report it.
+    /// completion for every detector and report it.
     fn emit(&mut self) -> MultiReport {
         let samples = std::mem::take(&mut self.buffer);
         let start = self.next_start;
         self.next_start += samples.len();
-        let judged: Vec<Judged> = if let Some(fused) = &self.fused {
-            // Fused form: each shard judges its samples ONCE through the
-            // shared kernel and re-thresholds per configuration —
-            // `pool.map` shards across workers (or runs inline on the
-            // caller with the pool's scratch for single-chunk windows).
-            let rows = self.pool.map(&samples, |shard, scratch| {
-                fanout_rows(fused.base, &fused.configs, shard, scratch)
-            });
-            split_fanout(rows, &self.states)
-        } else if self.pool.workers() > 1 {
+        let judged = match &self.pool {
             // Fan every detector's jobs out before collecting any, so a
             // cheap detector's chunks fill worker idle time while an
-            // expensive detector's window is still judging — judging one
-            // detector at a time would pay a full dispatch/drain barrier
-            // per detector.
+            // expensive detector's window is still judging.
             //
-            // SAFETY: `samples` outlives the handles — every handle is
-            // collected (or, on unwind, dropped and thereby drained)
-            // within this frame before the buffer can go away — and no
-            // detector is mutated until all handles have been collected.
-            let pending: Vec<PendingWindow> = self
-                .states
-                .iter()
-                .map(|state| unsafe { state.submit(&self.pool, &samples) })
-                .collect();
-            pending.into_iter().map(PendingWindow::collect).collect()
-        } else {
-            // One worker: judge inline, detector by detector — the
-            // pool's single-chunk path runs on the caller thread with
-            // the pool-owned scratch, so a 1-CPU host pays no
-            // cross-thread handoff for zero parallelism. (The caller
-            // scratch below is only read by `judge_sync`'s pool-less
-            // rich arm, unreachable here.)
-            let mut scratch = JudgeScratch::new();
-            self.states
-                .iter()
-                .map(|state| state.judge_sync(Some(&self.pool), &mut scratch, &samples))
-                .collect()
+            // SAFETY: `samples` outlives the handles — they are collected
+            // (or, on unwind, dropped and thereby drained) within this
+            // statement — and no detector is mutated before then.
+            Some(pool) => self.collect(unsafe { self.submit(pool, &samples) }),
+            None => judge_inline(&self.states, self.fused.as_ref(), &mut self.scratch, &samples),
         };
         let report = self.finish_window(&samples, judged, start);
+        // Recycle the window's allocation as the next ingest buffer.
         let mut samples = samples;
         samples.clear();
         self.buffer = samples;
         report
     }
 
-    /// Double-buffered rotation: collect the oldest in-flight window for
-    /// every detector once the queue is at its configured depth (folding
-    /// relabels before the next submission, so at depth 1 window N+1's
-    /// judging sees the calibration state window N left behind — per
-    /// detector, the sequential order; deeper queues are frozen-only),
-    /// then fan the just-filled buffer out to all detectors and return
-    /// immediately.
+    /// Overlapped rotation: collect the oldest in-flight window for every
+    /// detector once the queue is at its configured depth (folding its
+    /// relabels — which at depth 1 is why collection must precede the
+    /// next submission: window N+1's judging has to see the calibration
+    /// state window N left behind, exactly as in the sequential order;
+    /// deeper queues are frozen-only, where folding never mutates), then
+    /// hand the just-filled buffer to the pool and return immediately.
     fn rotate(&mut self) -> Option<MultiReport> {
-        let prev = (self.in_flight.len() >= self.config.in_flight_windows)
+        let prev = (self.in_flight.len() >= self.config.in_flight)
             .then(|| self.in_flight.pop_front())
             .flatten()
             .map(|window| self.finish_in_flight(window));
@@ -1798,52 +1584,87 @@ impl<'a> MultiPipeline<'a> {
         let samples = std::mem::replace(&mut self.buffer, next);
         let start = self.next_start;
         self.next_start += samples.len();
-        // SAFETY: the detectors (and the fused base) outlive the pipeline
-        // (`'a` borrows), all handles live in `self.in_flight` next to
-        // the one sample buffer their jobs point into and are always
-        // collected or dropped (field order drains them before the
-        // buffer and the pool go away), and detector mutation (relabel
-        // folding) happens strictly after every handle of the window has
-        // been collected.
-        let pending = if let Some(fused) = &self.fused {
-            // SAFETY: erasing the base borrow to 'static for the worker
-            // job; the caller contract above keeps it alive and
-            // un-mutated until the handle drains. The configs travel by
-            // `Arc`, so they need no erasure.
-            let base: &'static PromClassifier = unsafe { std::mem::transmute(fused.base) };
-            let configs = Arc::clone(&fused.configs);
-            // SAFETY: samples outlive the handle (stored beside it).
-            PendingWindows::Fused(unsafe {
-                self.pool.submit_with(
+        let pool = self.pool.as_ref().expect("in_flight >= 1 always builds a pool");
+        // SAFETY: the handles are stored in `self.in_flight` next to the
+        // sample buffer their jobs point into and are always collected or
+        // dropped (field order drains them before the buffer and the pool
+        // go away), and the only detector mutation (`fold_relabels`)
+        // happens in `finish_window`, strictly after every handle
+        // submitted earlier has been collected (depth 1), or never at all
+        // (deeper queues are frozen-only — `assert_in_flight_depth`).
+        let pending = unsafe { self.submit(pool, &samples) };
+        self.in_flight.push_back(InFlight { pending, samples, start });
+        prev
+    }
+
+    /// Starts judging a window on `pool` without waiting — one fused job
+    /// set, or one job set per detector over the one shared sample
+    /// buffer, each in the form its selection policy picked.
+    ///
+    /// # Safety
+    ///
+    /// Lifetime erasure only — see [`ShardPool::submit_with`]: the caller
+    /// must keep `samples`' heap buffer alive, and every detector
+    /// un-mutated, until the returned handles are collected or dropped.
+    unsafe fn submit(&self, pool: &ShardPool, samples: &[Sample]) -> PendingWindows {
+        // SAFETY: the jobs see the detectors (and the fused base) through
+        // borrows erased from `'a` to `'static`; those borrows outlive the
+        // pipeline, and the caller contract keeps `samples` alive and
+        // every detector un-mutated until the handles drain. The fused
+        // configs travel by `Arc`, so they need no erasure.
+        unsafe {
+            if let Some(fused) = &self.fused {
+                let base: &'static PromClassifier = std::mem::transmute(fused.base);
+                let configs = Arc::clone(&fused.configs);
+                return PendingWindows::Fused(pool.submit_with(
                     move |shard, scratch| fanout_rows(base, &configs, shard, scratch),
-                    &samples,
-                )
-            })
-        } else {
+                    samples,
+                ));
+            }
             PendingWindows::PerDetector(
                 self.states
                     .iter()
-                    .map(|state| unsafe { state.submit(&self.pool, &samples) })
+                    .map(|state| {
+                        let detector: &'static dyn DriftDetector =
+                            std::mem::transmute(state.detector.get());
+                        if state.rich {
+                            PendingWindow::Rich(pool.submit_with(
+                                move |shard, scratch| {
+                                    detector
+                                        .judge_batch_rich_scratch(shard, scratch)
+                                        .expect(RICH_IS_GLOBAL)
+                                },
+                                samples,
+                            ))
+                        } else {
+                            PendingWindow::Flat(pool.submit_with(
+                                move |shard, scratch| detector.judge_batch_scratch(shard, scratch),
+                                samples,
+                            ))
+                        }
+                    })
                     .collect(),
             )
-        };
-        self.in_flight.push_back(InFlight { pending, samples, start });
-        prev
+        }
+    }
+
+    /// Blocks for every handle of a submitted window before any
+    /// bookkeeping: no detector may be mutated while another detector's
+    /// jobs still borrow the window.
+    fn collect(&self, pending: PendingWindows) -> Vec<Judged> {
+        match pending {
+            PendingWindows::PerDetector(pending) => {
+                pending.into_iter().map(PendingWindow::collect).collect()
+            }
+            PendingWindows::Fused(pending) => split_fanout(pending.collect(), &self.states),
+        }
     }
 
     /// Blocks for an in-flight window's judgements (all detectors) and
     /// reports it.
     fn finish_in_flight(&mut self, window: InFlight) -> MultiReport {
         let InFlight { pending, samples, start } = window;
-        // Collect every handle before any bookkeeping: no detector may
-        // be mutated while another detector's jobs are still borrowing
-        // the window.
-        let judged: Vec<Judged> = match pending {
-            PendingWindows::PerDetector(pending) => {
-                pending.into_iter().map(PendingWindow::collect).collect()
-            }
-            PendingWindows::Fused(pending) => split_fanout(pending.collect(), &self.states),
-        };
+        let judged = self.collect(pending);
         let report = self.finish_window(&samples, judged, start);
         let mut samples = samples;
         samples.clear();
@@ -1853,7 +1674,8 @@ impl<'a> MultiPipeline<'a> {
 
     /// The per-window bookkeeping fan-in: shared-budget selection (when
     /// configured), then every detector's flagging / selection / folding
-    /// / stats, in registration order, strictly on the caller thread.
+    /// / stats, in registration order, strictly on the caller thread —
+    /// plus the caller's hook.
     fn finish_window(
         &mut self,
         samples: &[Sample],
@@ -1873,8 +1695,9 @@ impl<'a> MultiPipeline<'a> {
                     .collect(),
             ),
         };
-        let index = self.windows;
-        self.windows += 1;
+        // Every detector reports every window, so any detector's window
+        // count is the pipeline's.
+        let index = self.states[0].stats.windows;
         let config = &self.config;
         let oracle = &mut self.oracle;
         let reports: Vec<WindowReport> = self
@@ -1898,6 +1721,34 @@ impl<'a> MultiPipeline<'a> {
         }
         report
     }
+}
+
+/// Judges a window to completion on the caller thread with the
+/// pipeline's one scratch — the pool-less path, in the form each
+/// detector's selection policy picked at construction.
+fn judge_inline(
+    states: &[DetectorState<'_>],
+    fused: Option<&FusedFanout<'_>>,
+    scratch: &mut JudgeScratch,
+    samples: &[Sample],
+) -> Vec<Judged> {
+    if let Some(fused) = fused {
+        let columns = fused.base.judge_batch_fanout_scratch(samples, &fused.configs, scratch);
+        return fanout_judged(columns, states);
+    }
+    states
+        .iter()
+        .map(|state| {
+            let detector = state.detector.get();
+            if state.rich {
+                Judged::Rich(
+                    detector.judge_batch_rich_scratch(samples, scratch).expect(RICH_IS_GLOBAL),
+                )
+            } else {
+                Judged::Flat(detector.judge_batch_scratch(samples, scratch))
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -2040,10 +1891,10 @@ mod tests {
     #[test]
     fn double_buffered_reports_match_the_synchronous_pipeline() {
         let det = Threshold;
-        let run = |double_buffer: bool| {
+        let run = |in_flight: usize| {
             let mut pipeline = DeploymentPipeline::new(
                 &det,
-                PipelineConfig { window: 6, shards: 3, double_buffer, ..Default::default() },
+                PipelineConfig { window: 6, shards: 3, in_flight, ..Default::default() },
             );
             let mut reports = pipeline.extend(stream(40));
             while let Some(report) = pipeline.flush() {
@@ -2051,8 +1902,8 @@ mod tests {
             }
             (reports, pipeline.stats())
         };
-        let (sync_reports, sync_stats) = run(false);
-        let (db_reports, db_stats) = run(true);
+        let (sync_reports, sync_stats) = run(0);
+        let (db_reports, db_stats) = run(1);
         assert_eq!(sync_reports.len(), db_reports.len());
         for (a, b) in sync_reports.iter().zip(db_reports.iter()) {
             assert_eq!(a.index, b.index);
@@ -2070,13 +1921,7 @@ mod tests {
         let run = |depth: usize| {
             let mut pipeline = DeploymentPipeline::new(
                 &det,
-                PipelineConfig {
-                    window: 5,
-                    shards: 3,
-                    double_buffer: depth >= 1,
-                    in_flight_windows: depth.max(1),
-                    ..Default::default()
-                },
+                PipelineConfig { window: 5, shards: 3, in_flight: depth, ..Default::default() },
             );
             let mut reports = pipeline.extend(stream(47));
             while let Some(report) = pipeline.flush() {
@@ -2104,13 +1949,7 @@ mod tests {
         let det = Threshold;
         let mut pipeline = DeploymentPipeline::new(
             &det,
-            PipelineConfig {
-                window: 2,
-                shards: 2,
-                double_buffer: true,
-                in_flight_windows: 3,
-                ..Default::default()
-            },
+            PipelineConfig { window: 2, shards: 2, in_flight: 3, ..Default::default() },
         );
         let mut samples = stream(10).into_iter();
         // Windows 0, 1, 2 fill the in-flight queue without reporting.
@@ -2138,8 +1977,7 @@ mod tests {
             &mut det,
             PipelineConfig {
                 policy: CalibrationPolicy::GrowUnbounded,
-                double_buffer: true,
-                in_flight_windows: 2,
+                in_flight: 2,
                 ..Default::default()
             },
             |_, _| None,
@@ -2151,7 +1989,7 @@ mod tests {
         let det = Threshold;
         let mut pipeline = DeploymentPipeline::new(
             &det,
-            PipelineConfig { window: 4, shards: 2, double_buffer: true, ..Default::default() },
+            PipelineConfig { window: 4, shards: 2, in_flight: 1, ..Default::default() },
         );
         let mut samples = stream(8).into_iter();
         for _ in 0..3 {
@@ -2177,11 +2015,11 @@ mod tests {
     #[test]
     fn flush_after_a_full_drain_is_a_noop_in_both_modes() {
         let det = Threshold;
-        for double_buffer in [false, true] {
+        for in_flight in [0, 1] {
             let hook_calls = std::sync::atomic::AtomicUsize::new(0);
             let mut pipeline = DeploymentPipeline::new(
                 &det,
-                PipelineConfig { window: 5, shards: 2, double_buffer, ..Default::default() },
+                PipelineConfig { window: 5, shards: 2, in_flight, ..Default::default() },
             )
             .on_window(|_, _| {
                 hook_calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -2189,25 +2027,25 @@ mod tests {
             pipeline.extend(stream(13));
             while pipeline.flush().is_some() {}
             let drained = pipeline.stats();
-            assert_eq!(drained.judged, 13, "double_buffer {double_buffer}");
-            assert_eq!(drained.windows, 3, "double_buffer {double_buffer}");
+            assert_eq!(drained.judged, 13, "in_flight {in_flight}");
+            assert_eq!(drained.windows, 3, "in_flight {in_flight}");
             assert_eq!(
                 hook_calls.load(std::sync::atomic::Ordering::SeqCst),
                 3,
-                "double_buffer {double_buffer}"
+                "in_flight {in_flight}"
             );
 
             // The documented no-op: an empty partial window means flush
             // judges nothing, reports nothing, calls no hook, and leaves
             // every counter untouched — however often it is called.
             for _ in 0..3 {
-                assert!(pipeline.flush().is_none(), "double_buffer {double_buffer}");
+                assert!(pipeline.flush().is_none(), "in_flight {in_flight}");
             }
-            assert_eq!(pipeline.stats(), drained, "double_buffer {double_buffer}");
+            assert_eq!(pipeline.stats(), drained, "in_flight {in_flight}");
             assert_eq!(
                 hook_calls.load(std::sync::atomic::Ordering::SeqCst),
                 3,
-                "double_buffer {double_buffer}"
+                "in_flight {in_flight}"
             );
             drop(pipeline);
         }
@@ -2218,7 +2056,7 @@ mod tests {
         let det = Threshold;
         let mut pipeline = DeploymentPipeline::new(
             &det,
-            PipelineConfig { window: 4, shards: 2, double_buffer: true, ..Default::default() },
+            PipelineConfig { window: 4, shards: 2, in_flight: 1, ..Default::default() },
         );
         pipeline.extend(stream(4)); // submits window 0, never collected
         assert_eq!(pipeline.pending(), 4);
@@ -2545,30 +2383,32 @@ mod tests {
         let (strict_reports, strict_stats) = single(&strict);
         let (rich_reports, rich_stats) = single(&rich);
 
-        for double_buffer in [false, true] {
-            let mut multi = MultiPipeline::new(
-                vec![&strict, &rich],
-                PipelineConfig { double_buffer, ..config },
-            );
+        for in_flight in [0, 1, 3] {
+            let mut multi =
+                MultiPipeline::new(vec![&strict, &rich], PipelineConfig { in_flight, ..config });
             let mut reports = multi.extend(stream(40));
             while let Some(r) = multi.flush() {
                 reports.push(r);
             }
             assert_eq!(multi.names(), vec!["threshold", "rich-threshold"]);
-            assert_eq!(reports.len(), strict_reports.len(), "db={double_buffer}");
+            assert_eq!(reports.len(), strict_reports.len(), "in_flight={in_flight}");
             for (w, multi_report) in reports.iter().enumerate() {
                 for (single_report, multi_detector_report) in [&strict_reports[w], &rich_reports[w]]
                     .into_iter()
                     .zip(multi_report.reports.iter())
                 {
-                    assert_eq!(multi_report.index, single_report.index);
-                    assert_eq!(multi_report.start, single_report.start);
-                    assert_eq!(single_report.judgements, multi_detector_report.judgements);
-                    assert_eq!(single_report.flagged, multi_detector_report.flagged);
-                    assert_eq!(single_report.relabel, multi_detector_report.relabel);
+                    let mode = format!("in_flight={in_flight}");
+                    assert_eq!(multi_report.index, single_report.index, "{mode}");
+                    assert_eq!(multi_report.start, single_report.start, "{mode}");
+                    assert_eq!(
+                        single_report.judgements, multi_detector_report.judgements,
+                        "{mode}"
+                    );
+                    assert_eq!(single_report.flagged, multi_detector_report.flagged, "{mode}");
+                    assert_eq!(single_report.relabel, multi_detector_report.relabel, "{mode}");
                 }
             }
-            assert_eq!(multi.stats(), vec![strict_stats, rich_stats], "db={double_buffer}");
+            assert_eq!(multi.stats(), vec![strict_stats, rich_stats], "in_flight={in_flight}");
         }
     }
 
@@ -2718,32 +2558,38 @@ mod tests {
             }
             reports
         };
-        for (shards, double_buffer, selection) in [
-            (1, false, SelectionPolicy::RejectVote),
-            (2, false, SelectionPolicy::RejectVote),
-            (2, true, SelectionPolicy::CredibilityRank),
+        let refs: Vec<&dyn DriftDetector> =
+            standalone.iter().map(|d| d as &dyn DriftDetector).collect();
+        for (shards, selection) in [
+            (1, SelectionPolicy::RejectVote),
+            (2, SelectionPolicy::RejectVote),
+            (2, SelectionPolicy::CredibilityRank),
         ] {
             let pc = PipelineConfig {
                 window: 7,
                 shards,
-                double_buffer,
                 selection,
                 budget: RelabelBudget { fraction: 0.5, min_count: 1 },
                 ..Default::default()
             };
-            let fused = run(MultiPipeline::fanout(&base, configs.clone(), pc).unwrap());
-            let refs: Vec<&dyn DriftDetector> =
-                standalone.iter().map(|d| d as &dyn DriftDetector).collect();
-            let independent = run(MultiPipeline::new(refs, pc));
-            assert_eq!(fused.len(), independent.len());
-            for (f, ind) in fused.iter().zip(&independent) {
-                assert_eq!((f.index, f.start), (ind.index, ind.start));
-                assert_eq!(f.reports.len(), ind.reports.len());
-                for (fr, ir) in f.reports.iter().zip(&ind.reports) {
-                    let mode = format!("shards {shards} db {double_buffer} {selection:?}");
-                    assert_eq!(fr.judgements, ir.judgements, "judgements diverged: {mode}");
-                    assert_eq!(fr.flagged, ir.flagged, "flagged diverged: {mode}");
-                    assert_eq!(fr.relabel, ir.relabel, "relabel picks diverged: {mode}");
+            // Every depth is held to the synchronous independent run.
+            let reference = run(MultiPipeline::new(refs.clone(), pc));
+            for in_flight in [0, 1, 3] {
+                let pc = PipelineConfig { in_flight, ..pc };
+                let fused = run(MultiPipeline::fanout(&base, configs.clone(), pc).unwrap());
+                let independent = run(MultiPipeline::new(refs.clone(), pc));
+                let mode = format!("shards {shards} in_flight {in_flight} {selection:?}");
+                for candidate in [&fused, &independent] {
+                    assert_eq!(candidate.len(), reference.len(), "{mode}");
+                    for (f, ind) in candidate.iter().zip(&reference) {
+                        assert_eq!((f.index, f.start), (ind.index, ind.start), "{mode}");
+                        assert_eq!(f.reports.len(), ind.reports.len(), "{mode}");
+                        for (fr, ir) in f.reports.iter().zip(&ind.reports) {
+                            assert_eq!(fr.judgements, ir.judgements, "judgements diverged: {mode}");
+                            assert_eq!(fr.flagged, ir.flagged, "flagged diverged: {mode}");
+                            assert_eq!(fr.relabel, ir.relabel, "relabel picks diverged: {mode}");
+                        }
+                    }
                 }
             }
         }

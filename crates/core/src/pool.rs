@@ -25,9 +25,9 @@
 //! Because all jobs flow through the one shared queue, the pool is a
 //! natural cross-window scheduler: when window N is down to a single
 //! straggler chunk, the workers that finished early immediately pull
-//! window N+1's chunks (submitted by the pipelines' double-buffered
-//! ingest, by a deeper [`crate::pipeline::PipelineConfig`] in-flight
-//! queue, or by a *different* producer thread — the pool is `Sync` and
+//! window N+1's chunks (submitted by the pipeline's overlapped ingest —
+//! [`crate::pipeline::PipelineConfig::in_flight`] — or by a *different*
+//! producer thread — the pool is `Sync` and
 //! every entry point takes `&self`) instead of idling behind the
 //! straggler. Each submission drains its own completion channel, so
 //! concurrent windows never observe each other's results.
@@ -49,9 +49,10 @@
 //! code path — normal, panicking job, dead worker — drains one completion
 //! message per submitted job before the borrowed data can go away.
 //! Synchronous calls ([`ShardPool::map`]) drain before returning; the
-//! asynchronous form ([`ShardPool::submit_judge`]) moves everything the
-//! jobs reference into the returned [`PendingJudge`], whose `collect` and
-//! `Drop` both drain.
+//! asynchronous form ([`ShardPool::submit_with`]) moves the closure and
+//! the output slots into the returned [`PendingResults`], whose `collect`
+//! and `Drop` both drain — the caller keeps the window's samples alive
+//! until then.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -297,17 +298,15 @@ impl ShardPool {
     }
 
     /// Starts mapping `samples` through `f` on the pool **without
-    /// waiting** — the generic asynchronous form behind the pipelines'
-    /// double-buffered ingest (and the multi-detector fan-out, which
-    /// submits one such window per detector over a single shared sample
-    /// buffer). Returns a [`PendingResults`] that owns the workers'
-    /// output slots; judging proceeds on the workers while the caller
-    /// does other work, and [`PendingResults::collect`] blocks for the
-    /// stitched results.
+    /// waiting** — the asynchronous form behind the pipeline's pooled
+    /// judging (the multi-detector fan-out submits one such window per
+    /// detector over a single shared sample buffer). Returns a
+    /// [`PendingResults`] that owns the workers' output slots; judging
+    /// proceeds on the workers while the caller does other work, and
+    /// [`PendingResults::collect`] blocks for the stitched results.
     ///
-    /// Unlike [`ShardPool::submit_judge`], the returned handle does
-    /// **not** own the samples: the jobs hold raw pointers into
-    /// `samples`' heap buffer.
+    /// The returned handle does **not** own the samples: the jobs hold
+    /// raw pointers into `samples`' heap buffer.
     ///
     /// # Safety
     ///
@@ -319,10 +318,10 @@ impl ShardPool {
     /// dropping, clearing, or reallocating it is not) and whatever `f`'s
     /// captures really borrow. The caller must also not defeat the drain
     /// with `std::mem::forget` on the handle. Violating either is a data
-    /// race / use-after-free on a worker thread. `DeploymentPipeline`
-    /// and `MultiPipeline` uphold this by storing the handle(s) next to
-    /// the sample buffer they were made from, collecting before any
-    /// detector mutation (online relabel folding), and draining on drop.
+    /// race / use-after-free on a worker thread. `MultiPipeline` upholds
+    /// this by storing the handles next to the sample buffer they were
+    /// made from, collecting before any detector mutation (online relabel
+    /// folding), and draining on drop.
     pub unsafe fn submit_with<T, F>(&self, f: F, samples: &[Sample]) -> PendingResults<T>
     where
         T: Send + 'static,
@@ -355,49 +354,7 @@ impl ShardPool {
         // Drop our sender so a vanished worker surfaces as a disconnect
         // instead of a deadlock.
         drop(done_tx);
-        PendingResults { len: samples.len(), outputs, done_rx, outstanding: chunks, _keep: f }
-    }
-
-    /// Starts judging `samples` on the pool **without waiting**: the
-    /// flat-judgement asynchronous form. Returns a [`PendingJudge`] that
-    /// owns the window; judging proceeds on the workers while the caller
-    /// does other work (fills the next window), and
-    /// [`PendingJudge::collect`] blocks for the stitched judgements.
-    ///
-    /// # Safety
-    ///
-    /// The detector reference is erased to `'static` for the workers, and
-    /// the returned handle carries no lifetime tying it to the borrow.
-    /// The caller must keep the detector alive — and **un-mutated** —
-    /// until the handle is collected or dropped (both drain every
-    /// outstanding job), and must not defeat that drain with
-    /// `std::mem::forget` on the handle. Dropping the detector first (or
-    /// mutating it mid-flight) is a data race / use-after-free on a
-    /// worker thread. The deployment pipelines uphold this by storing the
-    /// handle next to the detector borrow it was made from, collecting
-    /// before any mutation (online relabel folding), and draining on
-    /// drop.
-    pub unsafe fn submit_judge(
-        &self,
-        detector: &dyn DriftDetector,
-        samples: Vec<Sample>,
-    ) -> PendingJudge {
-        // SAFETY: lifetime erasure only — the caller contract above
-        // guarantees the reference never outlives (and is never mutated
-        // during) the jobs that use it.
-        let detector: &'static dyn DriftDetector = unsafe { std::mem::transmute(detector) };
-        // SAFETY: the samples Vec moves into the returned PendingJudge
-        // alongside the results handle (handle first, so it drains before
-        // the buffer drops), satisfying submit_with's keep-alive contract.
-        let results = unsafe {
-            self.submit_with(
-                move |shard: &[Sample], scratch: &mut JudgeScratch| {
-                    detector.judge_batch_scratch(shard, scratch)
-                },
-                &samples,
-            )
-        };
-        PendingJudge { results, samples }
+        PendingResults { outputs, done_rx, outstanding: chunks, _keep: f }
     }
 
     /// The chunk geometry both entry points share: contiguous `div_ceil`
@@ -474,7 +431,6 @@ impl Drop for ShardPool {
 /// Dropping it without collecting still drains every outstanding job
 /// (discarding the results).
 pub struct PendingResults<T> {
-    len: usize,
     outputs: Vec<Option<Vec<T>>>,
     done_rx: Receiver<Result<(), PanicPayload>>,
     outstanding: usize,
@@ -484,16 +440,6 @@ pub struct PendingResults<T> {
 }
 
 impl<T> PendingResults<T> {
-    /// Number of samples in the window being mapped.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the submitted window was empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Blocks until every shard job has completed and returns the
     /// stitched results (bit-identical to running the closure over the
     /// whole window sequentially).
@@ -523,43 +469,6 @@ impl<T> Drop for PendingResults<T> {
         // the caller abandoning the window.
         let _ = drain(&self.done_rx, self.outstanding);
         self.outstanding = 0;
-    }
-}
-
-/// One in-flight asynchronously judged window (see
-/// [`ShardPool::submit_judge`]): a [`PendingResults`] that additionally
-/// owns the window's samples, so the flat single-detector caller has
-/// nothing to keep alive itself.
-pub struct PendingJudge {
-    // Field order matters for `Drop`: the results handle drains its jobs
-    // (which point into `samples`' heap buffer) before the buffer drops.
-    results: PendingResults<Judgement>,
-    samples: Vec<Sample>,
-}
-
-impl PendingJudge {
-    /// Number of samples in the window being judged.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the submitted window was empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Blocks until every shard job has completed and returns the
-    /// window's samples together with the stitched judgements
-    /// (bit-identical to `judge_batch` over the samples).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises (on this thread) the panic of any shard job — after all
-    /// jobs have drained, so the pool and the caller's state stay
-    /// consistent.
-    pub fn collect(self) -> (Vec<Sample>, Vec<Judgement>) {
-        let judgements = self.results.collect();
-        (self.samples, judgements)
     }
 }
 
@@ -625,6 +534,11 @@ mod tests {
         }
     }
 
+    /// The asynchronous tests' job: judges a shard with [`Trip`].
+    fn judge_trip(shard: &[Sample], scratch: &mut JudgeScratch) -> Vec<Judgement> {
+        Trip.judge_batch_scratch(shard, scratch)
+    }
+
     fn stream(n: usize) -> Vec<Sample> {
         (0..n)
             .map(|i| {
@@ -677,20 +591,18 @@ mod tests {
         let pool = ShardPool::new(4);
         let samples = stream(37);
         let expected = det.judge_batch(&samples);
-        // SAFETY: `det` outlives the handle, which is collected below.
-        let pending = unsafe { pool.submit_judge(&det, samples.clone()) };
-        assert_eq!(pending.len(), 37);
-        let (returned, judgements) = pending.collect();
-        assert_eq!(returned, samples);
-        assert_eq!(judgements, expected);
+        // SAFETY: `samples` outlives the handle, which is collected below.
+        let pending = unsafe { pool.submit_with(judge_trip, &samples) };
+        assert_eq!(pending.collect(), expected);
     }
 
     #[test]
     fn dropping_a_pending_window_drains_without_hanging() {
         let det = Trip;
         let pool = ShardPool::new(2);
-        // SAFETY: `det` outlives the handle, which drains on drop.
-        let pending = unsafe { pool.submit_judge(&det, stream(20)) };
+        let samples = stream(20);
+        // SAFETY: `samples` outlives the handle, which drains on drop.
+        let pending = unsafe { pool.submit_with(judge_trip, &samples) };
         drop(pending);
         // Workers are still healthy afterwards.
         assert_eq!(pool.judge(&det, &stream(6)), det.judge_batch(&stream(6)));
@@ -753,14 +665,11 @@ mod tests {
         let pool = ShardPool::new(2);
         let windows: Vec<Vec<Sample>> = (0..5).map(|w| stream(17 + w * 5)).collect();
         let expected: Vec<Vec<Judgement>> = windows.iter().map(|w| det.judge_batch(w)).collect();
-        // SAFETY: `det` outlives every handle; all are collected below.
-        let pending: Vec<PendingJudge> =
-            windows.iter().map(|w| unsafe { pool.submit_judge(&det, w.clone()) }).collect();
-        for (pending, (window, expected)) in pending.into_iter().zip(windows.iter().zip(&expected))
-        {
-            let (returned, judgements) = pending.collect();
-            assert_eq!(&returned, window);
-            assert_eq!(&judgements, expected);
+        // SAFETY: `windows` outlives every handle; all are collected below.
+        let pending: Vec<PendingResults<Judgement>> =
+            windows.iter().map(|w| unsafe { pool.submit_with(judge_trip, w) }).collect();
+        for (pending, expected) in pending.into_iter().zip(&expected) {
+            assert_eq!(&pending.collect(), expected);
         }
     }
 
@@ -770,8 +679,8 @@ mod tests {
         let pool = ShardPool::new(2);
         let mut poisoned = stream(8);
         poisoned[0].embedding[0] = -2.0;
-        // SAFETY: `det` outlives the handle, which is collected below.
-        let pending = unsafe { pool.submit_judge(&det, poisoned) };
+        // SAFETY: `poisoned` outlives the handle, which is collected below.
+        let pending = unsafe { pool.submit_with(judge_trip, &poisoned) };
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| pending.collect()))
             .expect_err("collect must re-raise the shard panic");
         drop(err);

@@ -1,10 +1,11 @@
 //! The concurrent serving front-end: many producers, bounded admission,
 //! latency SLOs.
 //!
-//! The deployment pipelines ([`DeploymentPipeline`], [`MultiPipeline`])
-//! are single-caller `push`/`flush` loops: one thread owns the pipeline
-//! and feeds it. A deployed judge serves many request threads at once,
-//! and the quantity that decides whether it is usable there is not
+//! The deployment pipeline ([`MultiPipeline`], and its single-detector
+//! view [`DeploymentPipeline`](crate::pipeline::DeploymentPipeline)) is a
+//! single-caller `push`/`flush` loop: one thread owns the pipeline and
+//! feeds it. A deployed judge serves many request threads at once, and
+//! the quantity that decides whether it is usable there is not
 //! throughput but **tail latency** — how long the slowest admitted
 //! sample waits for its judgement. This module adds that serving shape
 //! without giving up one bit of the repo's determinism:
@@ -16,12 +17,13 @@
 //!   [`ServingHandle::try_submit`] fails fast with the sample back —
 //!   load shedding, counted per front-end in
 //!   [`ServingOutcome::rejected`].
-//! * **One collator thread** drains the queue in arrival order and runs
-//!   the pipeline exactly as a synchronous caller would: windows form
-//!   serving-side, in admission order. Everything downstream — shard
-//!   fan-out, double-buffered overlap, deeper
-//!   [`PipelineConfig::in_flight_windows`] queues, relabel selection,
-//!   online calibration folding — is the ordinary pipeline machinery.
+//! * **One collator thread** drains the queue in arrival order and drives
+//!   one [`MultiPipeline`] exactly as a synchronous caller would: windows
+//!   form serving-side, in admission order. Everything downstream — shard
+//!   fan-out, overlapped judging up to [`PipelineConfig::in_flight`]
+//!   windows deep, relabel selection, online calibration folding — is the
+//!   ordinary pipeline machinery. The single-detector entry points
+//!   unwrap each window's only report.
 //! * **Latency** is recorded per sample on a monotonic clock
 //!   ([`std::time::Instant`]): stamped at **admission** — inside the
 //!   queue-slot handoff, after any backpressure wait — settled when the
@@ -60,9 +62,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
 use crate::detector::{DriftDetector, Sample, Truth};
 use crate::metrics::{Counter, Gauge, Histogram, MetricsSink};
-use crate::pipeline::{
-    DeploymentPipeline, MultiPipeline, MultiReport, PipelineConfig, WindowReport,
-};
+use crate::pipeline::{MultiPipeline, MultiReport, PipelineConfig, WindowReport};
 
 pub use crate::metrics::{LatencyHistogram, LatencySummary};
 
@@ -70,7 +70,7 @@ pub use crate::metrics::{LatencyHistogram, LatencySummary};
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// The pipeline behind the admission queue — window size, shards,
-    /// relabel budget, calibration policy, double-buffering and in-flight
+    /// relabel budget, selection and calibration policies, and in-flight
     /// depth all apply unchanged.
     pub pipeline: PipelineConfig,
     /// Admission queue capacity in samples — must be at least 1
@@ -238,7 +238,7 @@ struct ServingInstruments {
     latency: Arc<Histogram>,
     /// `prom_serving_window_judge_ns` — collator time inside the
     /// pipeline call that produced a window report (includes any wait on
-    /// in-flight windows when double-buffering).
+    /// in-flight windows when judging overlaps ingest).
     window_judge: Arc<Histogram>,
 }
 
@@ -297,51 +297,6 @@ pub struct ServingOutcome<R> {
     /// otherwise) — replay these synchronously to reproduce `reports`
     /// bit for bit.
     pub admitted_samples: Vec<Sample>,
-}
-
-/// The serving-side view of a pipeline: what the collator needs and
-/// nothing more. Private — the public surface is the typed serve calls.
-trait Engine {
-    /// The per-window report type.
-    type Report: Send;
-    fn push(&mut self, sample: Sample) -> Option<Self::Report>;
-    fn flush(&mut self) -> Option<Self::Report>;
-    /// How many samples `report` settled (its window length).
-    fn window_len(report: &Self::Report) -> usize;
-}
-
-impl Engine for DeploymentPipeline<'_> {
-    type Report = WindowReport;
-
-    fn push(&mut self, sample: Sample) -> Option<WindowReport> {
-        DeploymentPipeline::push(self, sample)
-    }
-
-    fn flush(&mut self) -> Option<WindowReport> {
-        DeploymentPipeline::flush(self)
-    }
-
-    fn window_len(report: &WindowReport) -> usize {
-        report.judgements.len()
-    }
-}
-
-impl Engine for MultiPipeline<'_> {
-    type Report = MultiReport;
-
-    fn push(&mut self, sample: Sample) -> Option<MultiReport> {
-        MultiPipeline::push(self, sample)
-    }
-
-    fn flush(&mut self) -> Option<MultiReport> {
-        MultiPipeline::flush(self)
-    }
-
-    fn window_len(report: &MultiReport) -> usize {
-        // Every detector judges every sample of the window; any report's
-        // judgement count is the window length.
-        report.reports.first().map_or(0, |r| r.judgements.len())
-    }
 }
 
 /// The concurrent serving front-end: producers on one side of a bounded
@@ -416,11 +371,12 @@ impl ServingFrontEnd {
     }
 
     /// Serves a *frozen* single-detector pipeline: runs `produce` with a
-    /// cloneable [`ServingHandle`], drives a [`DeploymentPipeline::new`]
-    /// pipeline from the admitted stream, and returns `produce`'s value
-    /// alongside the [`ServingOutcome`]. Returns when `produce` has
-    /// returned **and** every admitted sample has been judged (the tail
-    /// is flushed).
+    /// cloneable [`ServingHandle`], drives a pipeline over `detector`
+    /// (the engine behind
+    /// [`DeploymentPipeline::new`](crate::pipeline::DeploymentPipeline::new))
+    /// from the admitted stream, and returns `produce`'s value alongside
+    /// the [`ServingOutcome`]. Returns when `produce` has returned **and**
+    /// every admitted sample has been judged (the tail is flushed).
     ///
     /// # Panics
     ///
@@ -432,18 +388,15 @@ impl ServingFrontEnd {
         detector: &dyn DriftDetector,
         produce: impl for<'env> FnOnce(ServingHandle<'env>) -> P,
     ) -> (P, ServingOutcome<WindowReport>) {
-        let mut pipeline = DeploymentPipeline::new(detector, self.config.pipeline);
-        if let Some(sink) = &self.config.metrics {
-            pipeline = pipeline.with_metrics(sink);
-        }
-        self.run(pipeline, produce)
+        let pipeline = MultiPipeline::new(vec![detector], self.config.pipeline);
+        self.run(pipeline, produce, MultiReport::into_single)
     }
 
-    /// Serves an *online* single-detector pipeline
-    /// ([`DeploymentPipeline::online`]): relabel picks are labeled by
-    /// `oracle` on the collator thread and folded into the detector's
-    /// calibration set between windows, exactly as in the synchronous
-    /// pipeline.
+    /// Serves an *online* single-detector pipeline (the engine behind
+    /// [`DeploymentPipeline::online`](crate::pipeline::DeploymentPipeline::online)):
+    /// relabel picks are labeled by `oracle` on the collator thread and
+    /// folded into the detector's calibration set between windows,
+    /// exactly as in the synchronous pipeline.
     ///
     /// # Panics
     ///
@@ -454,11 +407,8 @@ impl ServingFrontEnd {
         oracle: impl FnMut(usize, &Sample) -> Option<Truth> + Send + 'a,
         produce: impl for<'env> FnOnce(ServingHandle<'env>) -> P,
     ) -> (P, ServingOutcome<WindowReport>) {
-        let mut pipeline = DeploymentPipeline::online(detector, self.config.pipeline, oracle);
-        if let Some(sink) = &self.config.metrics {
-            pipeline = pipeline.with_metrics(sink);
-        }
-        self.run(pipeline, produce)
+        let pipeline = MultiPipeline::online(vec![detector], self.config.pipeline, oracle);
+        self.run(pipeline, produce, MultiReport::into_single)
     }
 
     /// Serves a *frozen* multi-detector pipeline ([`MultiPipeline::new`]):
@@ -473,23 +423,24 @@ impl ServingFrontEnd {
         detectors: Vec<&dyn DriftDetector>,
         produce: impl for<'env> FnOnce(ServingHandle<'env>) -> P,
     ) -> (P, ServingOutcome<MultiReport>) {
-        let mut pipeline = MultiPipeline::new(detectors, self.config.pipeline);
-        if let Some(sink) = &self.config.metrics {
-            pipeline = pipeline.with_metrics(sink);
-        }
-        self.run(pipeline, produce)
+        let pipeline = MultiPipeline::new(detectors, self.config.pipeline);
+        self.run(pipeline, produce, std::convert::identity)
     }
 
-    /// The one serving loop behind every typed entry point: spawn the
-    /// collator, hand `produce` its handle, join, stitch the outcome.
-    fn run<E, P>(
+    /// The one serving loop behind every typed entry point: attach the
+    /// metrics sink, spawn the collator, hand `produce` its handle, join,
+    /// stitch the outcome. `report` maps each window's [`MultiReport`] to
+    /// the entry point's report type.
+    fn run<R: Send, P>(
         &self,
-        engine: E,
+        pipeline: MultiPipeline<'_>,
         produce: impl for<'env> FnOnce(ServingHandle<'env>) -> P,
-    ) -> (P, ServingOutcome<E::Report>)
-    where
-        E: Engine + Send,
-    {
+        report: fn(MultiReport) -> R,
+    ) -> (P, ServingOutcome<R>) {
+        let pipeline = match &self.config.metrics {
+            Some(sink) => pipeline.with_metrics(sink),
+            None => pipeline,
+        };
         let (queue_tx, queue_rx) = bounded::<Submission>(self.config.queue);
         let admitted = AtomicU64::new(0);
         let rejected = AtomicU64::new(0);
@@ -500,7 +451,9 @@ impl ServingFrontEnd {
             let live = instruments.as_ref();
             let collator = std::thread::Builder::new()
                 .name("prom-collator".into())
-                .spawn_scoped(s, move || collate(engine, &queue_rx, record_admitted, live))
+                .spawn_scoped(s, move || {
+                    collate(pipeline, report, &queue_rx, record_admitted, live)
+                })
                 .expect("spawn collator thread");
             let handle = ServingHandle {
                 queue: queue_tx,
@@ -546,14 +499,15 @@ struct Collated<R> {
 }
 
 /// The collator loop: drain the admission queue in arrival order into
-/// the pipeline, settle each report's latencies, flush the tail on
-/// disconnect.
-fn collate<E: Engine>(
-    mut engine: E,
+/// the pipeline, settle each report's latencies, map it through `report`,
+/// flush the tail on disconnect.
+fn collate<R>(
+    mut pipeline: MultiPipeline<'_>,
+    report: fn(MultiReport) -> R,
     queue: &Receiver<Submission>,
     record_admitted: bool,
     instruments: Option<&ServingInstruments>,
-) -> Collated<E::Report> {
+) -> Collated<R> {
     let mut reports = Vec::new();
     let mut latency = LatencyHistogram::new();
     // Admission timestamps of samples pushed but not yet reported; the
@@ -562,12 +516,14 @@ fn collate<E: Engine>(
     let mut unsettled: VecDeque<Instant> = VecDeque::new();
     let mut admitted_samples = Vec::new();
     let mut judged = 0usize;
-    let settle = |report: &E::Report,
+    let settle = |multi: &MultiReport,
                   unsettled: &mut VecDeque<Instant>,
                   latency: &mut LatencyHistogram,
                   judged: &mut usize| {
         let now = Instant::now();
-        let settled = E::window_len(report);
+        // Every detector judges every sample of the window; any report's
+        // judgement count is the window length.
+        let settled = multi.reports.first().map_or(0, |r| r.judgements.len());
         for _ in 0..settled {
             let at = unsettled.pop_front().expect("every judged sample has an admission stamp");
             let waited = now.saturating_duration_since(at);
@@ -589,24 +545,24 @@ fn collate<E: Engine>(
         // Stamp the pipeline call only when instrumented: the
         // report-producing push is the window-judge latency.
         let pushed_at = instruments.map(|_| Instant::now());
-        if let Some(report) = engine.push(sample) {
+        if let Some(multi) = pipeline.push(sample) {
             if let (Some(live), Some(at)) = (instruments, pushed_at) {
                 live.window_judge.record(at.elapsed());
             }
-            settle(&report, &mut unsettled, &mut latency, &mut judged);
-            reports.push(report);
+            settle(&multi, &mut unsettled, &mut latency, &mut judged);
+            reports.push(report(multi));
         }
     }
     // Every producer handle is gone: drain the in-flight windows and the
     // partial tail, oldest first.
     loop {
         let flushed_at = instruments.map(|_| Instant::now());
-        let Some(report) = engine.flush() else { break };
+        let Some(multi) = pipeline.flush() else { break };
         if let (Some(live), Some(at)) = (instruments, flushed_at) {
             live.window_judge.record(at.elapsed());
         }
-        settle(&report, &mut unsettled, &mut latency, &mut judged);
-        reports.push(report);
+        settle(&multi, &mut unsettled, &mut latency, &mut judged);
+        reports.push(report(multi));
     }
     debug_assert!(unsettled.is_empty(), "flush must settle every admitted sample");
     Collated { reports, latency, judged, admitted_samples }
@@ -616,6 +572,7 @@ fn collate<E: Engine>(
 mod tests {
     use super::*;
     use crate::detector::Judgement;
+    use crate::pipeline::DeploymentPipeline;
 
     /// Accepts first outputs >= 0.5; optionally dawdles per sample so
     /// tests can congest the admission queue deterministically.
@@ -682,12 +639,7 @@ mod tests {
     fn concurrent_producers_judge_every_admitted_sample_exactly_once() {
         let det = Slowpoke { delay: Duration::ZERO };
         let front = ServingFrontEnd::new(ServingConfig {
-            pipeline: PipelineConfig {
-                window: 16,
-                shards: 2,
-                double_buffer: true,
-                ..Default::default()
-            },
+            pipeline: PipelineConfig { window: 16, shards: 2, in_flight: 1, ..Default::default() },
             queue: 8,
             record_admitted: true,
             metrics: None,

@@ -74,7 +74,7 @@ pub fn evaluate_detector_on(
 /// misprediction truth. This replaces the detector-by-detector judging
 /// loop the detector-quality figures used to run (N passes over the
 /// stream): one pass now serves all N detectors, with ingest overlapping
-/// judging ([`PipelineConfig::double_buffer`]). Per-detector judgements
+/// judging ([`PipelineConfig::in_flight`]). Per-detector judgements
 /// are bit-identical to [`evaluate_detector`] over the same stream
 /// (`tests/pipeline_equivalence.rs`), so adopting the fan-out changes
 /// figure throughput, never figures.
@@ -89,7 +89,7 @@ pub fn evaluate_detectors(
         PipelineConfig {
             window: 4096,
             shards: available_shards(),
-            double_buffer: true,
+            in_flight: 1,
             ..Default::default()
         },
     );
@@ -150,13 +150,13 @@ pub fn evaluate_detector_online(
             // Overlap judging with ingest: while the pool judges window N
             // the loop below feeds window N+1. Report contents are
             // byte-identical either way (`tests/pipeline_equivalence.rs`).
-            double_buffer: true,
+            in_flight: 1,
             ..Default::default()
         },
         |global, _s| Some(Truth::Label(oracle_labels[global])),
     );
     let mut reports = pipeline.extend(stream.iter().cloned());
-    // Double-buffered draining: flush until the in-flight window and the
+    // Overlapped draining: flush until the in-flight window and the
     // partial tail are both reported.
     while let Some(report) = pipeline.flush() {
         reports.push(report);

@@ -12,7 +12,7 @@
 //!    persistent shard-worker pool (long-lived threads, each reusing one
 //!    scratch for the whole run) **overlapped with ingest** — while the
 //!    workers judge window N, `push` fills window N+1
-//!    (`double_buffer: true`) — its budgeted relabel picks are labeled by
+//!    (`in_flight: 1`) — its budgeted relabel picks are labeled by
 //!    the oracle (the "ask an expert" step), and the picks are folded
 //!    straight into the detector's live calibration set by incremental
 //!    insert/replace — no full recalibration rebuild anywhere;
@@ -117,7 +117,7 @@ fn main() {
             // Ingest overlaps judging on the persistent pool; reports are
             // byte-identical to the non-overlapped pipeline, one window
             // late (`tests/pipeline_equivalence.rs`).
-            double_buffer: true,
+            in_flight: 1,
             ..Default::default()
         },
         |global, _s| Some(Truth::Label(sample_at(global, total).1)),

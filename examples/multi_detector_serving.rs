@@ -11,7 +11,7 @@
 //! 2. stream everything through **one online [`MultiPipeline`]**: each
 //!    window is ingested once and fanned out to all four detectors as
 //!    independent jobs on one shared shard pool, overlapped with ingest
-//!    (`double_buffer: true`) — before this mode, comparing N detectors
+//!    (`in_flight: 1`) — before this mode, comparing N detectors
 //!    meant replaying the stream N times and re-paying the shared
 //!    feature/forward pass each replay;
 //! 3. the relabeling budget is **shared** (`.shared_budget(0)` — Prom is
@@ -97,7 +97,7 @@ fn main() {
             window: WINDOW,
             selection: SelectionPolicy::CredibilityRank,
             policy: CalibrationPolicy::Reservoir { cap: RESERVOIR_CAP, seed: 0 },
-            double_buffer: true,
+            in_flight: 1,
             ..Default::default()
         },
         move |global, _s| Some(Truth::Label(sample_at(global, total).1)),

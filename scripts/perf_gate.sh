@@ -38,8 +38,9 @@ if [ "${PERF_GATE_BOOTSTRAP:-0}" != "1" ]; then
     cargo run -q --release -p prom-bench --bin perf_gate -- \
         check-machine BENCH_pipeline.json "$fingerprint" || status=$?
     if [ "$status" -eq 2 ]; then
-        echo "perf gate: skipping measured run (gate is not armed for this machine;"
-        echo "perf gate: set PERF_GATE_BOOTSTRAP=1 to re-record the baseline here)"
+        # A `::warning::` line is a GitHub Actions annotation: the skip
+        # shows on the run summary instead of passing silently.
+        echo "::warning title=perf gate not armed::no baseline for machine '$fingerprint' in BENCH_pipeline.json; skipping the measured run (set PERF_GATE_BOOTSTRAP=1 to record one here)"
         exit 0
     elif [ "$status" -ne 0 ]; then
         echo "perf gate: check-machine failed (exit $status)" >&2

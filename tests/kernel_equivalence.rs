@@ -366,9 +366,9 @@ fn fused_fanout_reports_match_standalone_classifiers() {
         configs.iter().map(|c| PromClassifier::new(records.clone(), c.clone()).unwrap()).collect();
     let stream = classification_stream(47, 3);
 
-    for double_buffer in [false, true] {
+    for in_flight in [0, 1] {
         let pipeline_config =
-            PipelineConfig { window: 9, shards: 2, double_buffer, ..Default::default() };
+            PipelineConfig { window: 9, shards: 2, in_flight, ..Default::default() };
         let run = |mut p: MultiPipeline<'_>| {
             let mut reports = p.extend(stream.iter().cloned());
             while let Some(r) = p.flush() {
@@ -383,9 +383,9 @@ fn fused_fanout_reports_match_standalone_classifiers() {
         assert_eq!(fused.len(), independent.len());
         for (f, ind) in fused.iter().zip(&independent) {
             for (fr, ir) in f.reports.iter().zip(&ind.reports) {
-                assert_eq!(fr.judgements, ir.judgements, "double_buffer={double_buffer}");
-                assert_eq!(fr.flagged, ir.flagged, "double_buffer={double_buffer}");
-                assert_eq!(fr.relabel, ir.relabel, "double_buffer={double_buffer}");
+                assert_eq!(fr.judgements, ir.judgements, "in_flight={in_flight}");
+                assert_eq!(fr.flagged, ir.flagged, "in_flight={in_flight}");
+                assert_eq!(fr.relabel, ir.relabel, "in_flight={in_flight}");
             }
         }
     }

@@ -263,11 +263,11 @@ fn run_frozen(
     stream: &[Sample],
     window: usize,
     shards: usize,
-    double_buffer: bool,
+    in_flight: usize,
 ) -> (Vec<WindowReport>, usize) {
     let mut pipeline = DeploymentPipeline::new(
         detector,
-        PipelineConfig { window, shards, double_buffer, ..Default::default() },
+        PipelineConfig { window, shards, in_flight, ..Default::default() },
     );
     let mut reports = pipeline.extend(stream.iter().cloned());
     while let Some(report) = pipeline.flush() {
@@ -289,16 +289,16 @@ fn frozen_pipeline_reports_are_identical_across_execution_modes() {
     let detectors: Vec<&dyn DriftDetector> = vec![&prom, &naive, &tesseract, &rise];
 
     for detector in detectors {
-        let (reference, judged) = run_frozen(detector, &stream, 16, 1, false);
+        let (reference, judged) = run_frozen(detector, &stream, 16, 1, 0);
         assert_eq!(judged, stream.len());
         for shards in shard_counts() {
-            for double_buffer in [false, true] {
-                let (candidate, judged) = run_frozen(detector, &stream, 16, shards, double_buffer);
+            for in_flight in [0, 1] {
+                let (candidate, judged) = run_frozen(detector, &stream, 16, shards, in_flight);
                 assert_eq!(judged, stream.len());
                 assert_reports_identical(
                     &reference,
                     &candidate,
-                    &format!("{} shards={shards} db={double_buffer}", detector.name()),
+                    &format!("{} shards={shards} in_flight={in_flight}", detector.name()),
                 );
             }
         }
@@ -311,9 +311,9 @@ fn frozen_pipeline_reports_are_identical_across_execution_modes() {
     )
     .unwrap();
     let stream = regression_stream(77);
-    let (reference, _) = run_frozen(&regressor, &stream, 16, 1, false);
+    let (reference, _) = run_frozen(&regressor, &stream, 16, 1, 0);
     for shards in shard_counts() {
-        let (candidate, _) = run_frozen(&regressor, &stream, 16, shards, true);
+        let (candidate, _) = run_frozen(&regressor, &stream, 16, shards, 1);
         assert_reports_identical(&reference, &candidate, &format!("regressor shards={shards}"));
     }
 }
@@ -325,7 +325,7 @@ fn run_online(
     detector: &mut dyn DriftDetector,
     stream: &[Sample],
     shards: usize,
-    double_buffer: bool,
+    in_flight: usize,
 ) -> Vec<WindowReport> {
     let mut pipeline = DeploymentPipeline::online(
         detector,
@@ -334,7 +334,7 @@ fn run_online(
             shards,
             budget: prom::core::incremental::RelabelBudget { fraction: 1.0, min_count: 1 },
             policy: CalibrationPolicy::Reservoir { cap: 9, seed: 7 },
-            double_buffer,
+            in_flight,
             ..Default::default()
         },
         |global, _s| Some(Truth::Label(global % 3)),
@@ -363,16 +363,16 @@ fn online_reservoir_absorption_is_identical_across_modes_for_the_classifier() {
     let probes = classification_stream(20, 32);
 
     let mut reference = PromClassifier::new(records.clone(), PromConfig::default()).unwrap();
-    let reference_reports = run_online(&mut reference, &stream, 1, false);
+    let reference_reports = run_online(&mut reference, &stream, 1, 0);
     assert!(
         reference_reports.iter().map(|r| r.absorbed).sum::<usize>() > 9,
         "the stream must absorb past the reservoir cap to exercise replacement"
     );
 
-    for (shards, double_buffer) in [(2, false), (7, true), (available_shards(), true)] {
+    for (shards, in_flight) in [(2, 0), (7, 1), (available_shards(), 1)] {
         let mut candidate = PromClassifier::new(records.clone(), PromConfig::default()).unwrap();
-        let candidate_reports = run_online(&mut candidate, &stream, shards, double_buffer);
-        let context = format!("classifier shards={shards} db={double_buffer}");
+        let candidate_reports = run_online(&mut candidate, &stream, shards, in_flight);
+        let context = format!("classifier shards={shards} in_flight={in_flight}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
 
         // The live calibration set itself ended up bit-identical: same
@@ -398,24 +398,24 @@ fn online_reservoir_absorption_is_identical_across_modes_for_table_baselines() {
 
     // NaiveCp.
     let mut reference = NaiveCp::new(&records, 0.1);
-    let reference_reports = run_online(&mut reference, &stream, 1, false);
+    let reference_reports = run_online(&mut reference, &stream, 1, 0);
     assert!(reference_reports.iter().map(|r| r.absorbed).sum::<usize>() > 9);
-    for (shards, double_buffer) in [(2, true), (7, false), (available_shards(), true)] {
+    for (shards, in_flight) in [(2, 1), (7, 0), (available_shards(), 1)] {
         let mut candidate = NaiveCp::new(&records, 0.1);
-        let candidate_reports = run_online(&mut candidate, &stream, shards, double_buffer);
-        let context = format!("naive-cp shards={shards} db={double_buffer}");
+        let candidate_reports = run_online(&mut candidate, &stream, shards, in_flight);
+        let context = format!("naive-cp shards={shards} in_flight={in_flight}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
         assert_score_tables_identical(reference.score_table(), candidate.score_table(), &context);
     }
 
     // Tesseract.
     let mut reference = Tesseract::fit(&records, &validation, 3);
-    let reference_reports = run_online(&mut reference, &stream, 1, false);
+    let reference_reports = run_online(&mut reference, &stream, 1, 0);
     assert!(reference_reports.iter().map(|r| r.absorbed).sum::<usize>() > 9);
-    for (shards, double_buffer) in [(2, true), (available_shards(), true)] {
+    for (shards, in_flight) in [(2, 1), (available_shards(), 1)] {
         let mut candidate = Tesseract::fit(&records, &validation, 3);
-        let candidate_reports = run_online(&mut candidate, &stream, shards, double_buffer);
-        let context = format!("tesseract shards={shards} db={double_buffer}");
+        let candidate_reports = run_online(&mut candidate, &stream, shards, in_flight);
+        let context = format!("tesseract shards={shards} in_flight={in_flight}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
         assert_score_tables_identical(reference.score_table(), candidate.score_table(), &context);
         assert_eq!(reference.thresholds(), candidate.thresholds(), "{context}");
@@ -423,11 +423,11 @@ fn online_reservoir_absorption_is_identical_across_modes_for_table_baselines() {
 
     // Rise.
     let mut reference = Rise::fit(&records, &validation, 0.1);
-    let reference_reports = run_online(&mut reference, &stream, 1, false);
-    for (shards, double_buffer) in [(2, true), (available_shards(), true)] {
+    let reference_reports = run_online(&mut reference, &stream, 1, 0);
+    for (shards, in_flight) in [(2, 1), (available_shards(), 1)] {
         let mut candidate = Rise::fit(&records, &validation, 0.1);
-        let candidate_reports = run_online(&mut candidate, &stream, shards, double_buffer);
-        let context = format!("rise shards={shards} db={double_buffer}");
+        let candidate_reports = run_online(&mut candidate, &stream, shards, in_flight);
+        let context = format!("rise shards={shards} in_flight={in_flight}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
         assert_score_tables_identical(reference.score_table(), candidate.score_table(), &context);
     }
@@ -440,7 +440,7 @@ fn online_reservoir_absorption_is_identical_across_modes_for_the_regressor() {
     let probes = regression_stream(25);
     let config = PromRegressorConfig { clusters: ClusterChoice::Fixed(4), ..Default::default() };
 
-    let run = |detector: &mut PromRegressor, shards: usize, double_buffer: bool| {
+    let run = |detector: &mut PromRegressor, shards: usize, in_flight: usize| {
         let mut pipeline = DeploymentPipeline::online(
             detector,
             PipelineConfig {
@@ -448,7 +448,7 @@ fn online_reservoir_absorption_is_identical_across_modes_for_the_regressor() {
                 shards,
                 budget: prom::core::incremental::RelabelBudget { fraction: 1.0, min_count: 1 },
                 policy: CalibrationPolicy::Reservoir { cap: 9, seed: 3 },
-                double_buffer,
+                in_flight,
                 ..Default::default()
             },
             // The expert measures the true target of the drifted stream.
@@ -462,13 +462,13 @@ fn online_reservoir_absorption_is_identical_across_modes_for_the_regressor() {
     };
 
     let mut reference = PromRegressor::new(records.clone(), config.clone()).unwrap();
-    let reference_reports = run(&mut reference, 1, false);
+    let reference_reports = run(&mut reference, 1, 0);
     assert!(reference_reports.iter().map(|r| r.absorbed).sum::<usize>() > 9);
 
-    for (shards, double_buffer) in [(2, true), (available_shards(), true)] {
+    for (shards, in_flight) in [(2, 1), (available_shards(), 1)] {
         let mut candidate = PromRegressor::new(records.clone(), config.clone()).unwrap();
-        let candidate_reports = run(&mut candidate, shards, double_buffer);
-        let context = format!("regressor shards={shards} db={double_buffer}");
+        let candidate_reports = run(&mut candidate, shards, in_flight);
+        let context = format!("regressor shards={shards} in_flight={in_flight}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
         assert_eq!(reference.calibration_len(), candidate.calibration_len(), "{context}");
         let ja = reference.judge_batch(&probes);
@@ -539,7 +539,7 @@ fn pipeline_survives_a_panicking_window_and_keeps_judging() {
     let det = Poisonable;
     let mut pipeline = DeploymentPipeline::new(
         &det,
-        PipelineConfig { window: 8, shards: 3, double_buffer: true, ..Default::default() },
+        PipelineConfig { window: 8, shards: 3, in_flight: 1, ..Default::default() },
     );
     let mut stream = plain_stream(8);
     stream[3].embedding[0] = f64::NAN;
@@ -582,7 +582,7 @@ proptest! {
         let det = Poisonable;
         let mut pipeline = DeploymentPipeline::new(
             &det,
-            PipelineConfig { window, shards, double_buffer: true, ..Default::default() },
+            PipelineConfig { window, shards, in_flight: 1, ..Default::default() },
         );
         let mut pushed: Vec<Sample> = Vec::new();
         let mut reports: Vec<WindowReport> = Vec::new();
@@ -675,21 +675,14 @@ fn multi_pipeline_matches_independent_pipelines_for_all_detectors_frozen() {
     let detectors: Vec<&dyn DriftDetector> = vec![&prom, &naive, &tesseract, &rise];
 
     for selection in [SelectionPolicy::RejectVote, SelectionPolicy::CredibilityRank] {
-        for (shards, double_buffer) in
-            [(1, false), (7, false), (2, true), (available_shards(), true)]
-        {
-            let config = PipelineConfig {
-                window: 16,
-                shards,
-                selection,
-                double_buffer,
-                ..Default::default()
-            };
+        for (shards, in_flight) in [(1, 0), (7, 0), (2, 1), (available_shards(), 1)] {
+            let config =
+                PipelineConfig { window: 16, shards, selection, in_flight, ..Default::default() };
             let multi = run_multi(detectors.clone(), &stream, config);
             assert_eq!(multi.len(), stream.len().div_ceil(16));
             for (d, detector) in detectors.iter().enumerate() {
                 let context = format!(
-                    "{} d={d} sel={selection:?} shards={shards} db={double_buffer}",
+                    "{} d={d} sel={selection:?} shards={shards} in_flight={in_flight}",
                     detector.name()
                 );
                 let single = run_single(*detector, &stream, config);
@@ -712,13 +705,8 @@ fn multi_pipeline_matches_independent_pipelines_for_the_regressor() {
     .unwrap();
     let detectors: Vec<&dyn DriftDetector> = vec![&a, &b];
     for selection in [SelectionPolicy::RejectVote, SelectionPolicy::CredibilityRank] {
-        let pipeline_config = PipelineConfig {
-            window: 16,
-            shards: 7,
-            selection,
-            double_buffer: true,
-            ..Default::default()
-        };
+        let pipeline_config =
+            PipelineConfig { window: 16, shards: 7, selection, in_flight: 1, ..Default::default() };
         let multi = run_multi(detectors.clone(), &stream, pipeline_config);
         for (d, detector) in detectors.iter().enumerate() {
             let single = run_single(*detector, &stream, pipeline_config);
@@ -743,7 +731,7 @@ fn run_single_online(
             budget: RelabelBudget { fraction: 1.0, min_count: 1 },
             selection,
             policy: CalibrationPolicy::Reservoir { cap: 9, seed: 7 },
-            double_buffer: true,
+            in_flight: 1,
             ..Default::default()
         },
         |global, _s| Some(Truth::Label(global % 3)),
@@ -789,7 +777,7 @@ fn multi_pipeline_online_reservoir_matches_independent_pipelines() {
                 budget: RelabelBudget { fraction: 1.0, min_count: 1 },
                 selection,
                 policy: CalibrationPolicy::Reservoir { cap: 9, seed: 7 },
-                double_buffer: true,
+                in_flight: 1,
                 ..Default::default()
             },
             |global, _s| Some(Truth::Label(global % 3)),
@@ -861,7 +849,7 @@ fn multi_shared_budget_absorbs_identically_across_execution_modes() {
     let records = classification_records(100, 91);
     let stream = classification_stream(120, 91);
 
-    let run = |shards: usize, double_buffer: bool| {
+    let run = |shards: usize, in_flight: usize| {
         let mut prom_a = PromClassifier::new(records.clone(), PromConfig::default()).unwrap();
         let mut prom_b = PromClassifier::new(
             records.clone(),
@@ -876,7 +864,7 @@ fn multi_shared_budget_absorbs_identically_across_execution_modes() {
                 budget: RelabelBudget { fraction: 0.5, min_count: 1 },
                 selection: SelectionPolicy::CredibilityRank,
                 policy: CalibrationPolicy::Reservoir { cap: 9, seed: 5 },
-                double_buffer,
+                in_flight,
                 ..Default::default()
             },
             |global, _s| Some(Truth::Label(global % 3)),
@@ -890,7 +878,7 @@ fn multi_shared_budget_absorbs_identically_across_execution_modes() {
         (reports, prom_a.calibration_len(), prom_b.calibration_len())
     };
 
-    let (reference, ref_a, ref_b) = run(1, false);
+    let (reference, ref_a, ref_b) = run(1, 0);
     // The shared pick set is detector 0's selection, mirrored into every
     // detector's report.
     let mut any_picks = false;
@@ -909,9 +897,9 @@ fn multi_shared_budget_absorbs_identically_across_execution_modes() {
     assert!(any_picks, "the stream must select something");
 
     // And the whole shared-budget run is execution-mode independent.
-    for (shards, double_buffer) in [(7, false), (2, true), (available_shards(), true)] {
-        let (candidate, cand_a, cand_b) = run(shards, double_buffer);
-        let context = format!("shared-budget shards={shards} db={double_buffer}");
+    for (shards, in_flight) in [(7, 0), (2, 1), (available_shards(), 1)] {
+        let (candidate, cand_a, cand_b) = run(shards, in_flight);
+        let context = format!("shared-budget shards={shards} in_flight={in_flight}");
         assert_eq!(reference.len(), candidate.len(), "{context}");
         for (r, c) in reference.iter().zip(candidate.iter()) {
             for (d, (a, b)) in r.reports.iter().zip(c.reports.iter()).enumerate() {
@@ -933,7 +921,7 @@ fn multi_pipeline_double_buffering_reports_one_window_late_in_order() {
     let naive = NaiveCp::new(&records, 0.1);
     let mut pipeline = MultiPipeline::new(
         vec![&prom, &naive],
-        PipelineConfig { window: 4, shards: 2, double_buffer: true, ..Default::default() },
+        PipelineConfig { window: 4, shards: 2, in_flight: 1, ..Default::default() },
     );
     let stream = classification_stream(10, 95);
     let mut samples = stream.iter().cloned();

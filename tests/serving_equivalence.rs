@@ -24,9 +24,9 @@
 //! * **multi-detector serving**: `serve_multi` over N detectors replays
 //!   bit-identically through a synchronous `MultiPipeline`, per
 //!   detector;
-//! * **in-flight depth changes nothing**: serving over
-//!   `in_flight_windows` ∈ {2, 4} (frozen, double-buffered) reports
-//!   exactly what the depth-1 synchronous replay reports;
+//! * **in-flight depth changes nothing**: serving over `in_flight` ∈
+//!   {2, 4} (frozen) reports exactly what the depth-1 synchronous replay
+//!   reports;
 //! * **(proptest)** for arbitrary window/queue/producer/stream-length
 //!   combinations, every submitted sample is judged exactly once, the
 //!   reports tile the admitted order contiguously, and the stitched
@@ -196,9 +196,9 @@ fn frozen_serving_replays_bit_identically_across_producer_counts() {
 
     for detector in detectors {
         for producers in producer_counts() {
-            for double_buffer in [false, true] {
+            for in_flight in [0, 1] {
                 let config =
-                    PipelineConfig { window: 16, shards: 2, double_buffer, ..Default::default() };
+                    PipelineConfig { window: 16, shards: 2, in_flight, ..Default::default() };
                 let front = ServingFrontEnd::new(ServingConfig {
                     pipeline: config,
                     queue: 8, // smaller than the stream: exercises backpressure
@@ -208,7 +208,7 @@ fn frozen_serving_replays_bit_identically_across_producer_counts() {
                 let ((), outcome) =
                     front.serve(detector, |handle| race_producers(handle, &stream, producers));
                 let context =
-                    format!("{} producers={producers} db={double_buffer}", detector.name());
+                    format!("{} producers={producers} in_flight={in_flight}", detector.name());
                 assert_outcome_accounted(&outcome, stream.len(), &context);
                 assert_admitted_is_a_permutation(&outcome.admitted_samples, &stream, &context);
                 if producers == 1 {
@@ -250,7 +250,7 @@ fn online_reservoir_serving_replays_reports_and_calibration_bit_identically() {
         shards: 2,
         budget: RelabelBudget { fraction: 1.0, min_count: 1 },
         policy: CalibrationPolicy::Reservoir { cap: 9, seed: 7 },
-        double_buffer: true,
+        in_flight: 1,
         ..Default::default()
     };
 
@@ -324,8 +324,7 @@ fn multi_detector_serving_replays_bit_identically() {
     let stream = classification_stream(90, 221);
     let prom = PromClassifier::new(records.clone(), PromConfig::default()).unwrap();
     let naive = NaiveCp::new(&records, 0.1);
-    let config =
-        PipelineConfig { window: 16, shards: 2, double_buffer: true, ..Default::default() };
+    let config = PipelineConfig { window: 16, shards: 2, in_flight: 1, ..Default::default() };
 
     for producers in producer_counts() {
         let context = format!("multi producers={producers}");
@@ -364,13 +363,8 @@ fn deeper_in_flight_serving_queues_change_nothing_but_timing() {
 
     for depth in [2, 4] {
         for producers in [1, available_shards().max(3)] {
-            let config = PipelineConfig {
-                window: 16,
-                shards: 2,
-                double_buffer: true,
-                in_flight_windows: depth,
-                ..Default::default()
-            };
+            let config =
+                PipelineConfig { window: 16, shards: 2, in_flight: depth, ..Default::default() };
             let front = ServingFrontEnd::new(ServingConfig {
                 pipeline: config,
                 queue: 8,
@@ -388,7 +382,7 @@ fn deeper_in_flight_serving_queues_change_nothing_but_timing() {
             let reference = replay_frozen(
                 &prom,
                 &outcome.admitted_samples,
-                PipelineConfig { in_flight_windows: 1, ..config },
+                PipelineConfig { in_flight: 1, ..config },
             );
             assert_reports_identical(&reference, &outcome.reports, &context);
         }
@@ -432,12 +426,11 @@ proptest! {
         queue in 1usize..9,
         producers in 1usize..4,
         shards in 1usize..4,
-        double_buffer_bit in 0u8..2,
+        in_flight in 0usize..2,
     ) {
-        let double_buffer = double_buffer_bit == 1;
         let det = Threshold;
         let stream = plain_stream(n);
-        let config = PipelineConfig { window, shards, double_buffer, ..Default::default() };
+        let config = PipelineConfig { window, shards, in_flight, ..Default::default() };
         let front = ServingFrontEnd::new(ServingConfig {
             pipeline: config,
             queue,
