@@ -61,8 +61,8 @@ fn stream(n: usize) -> Vec<Sample> {
         .collect()
 }
 
-/// N-detector fan-out vs N sequential stream replays, both windowed,
-/// double-buffered, and judging on persistent shard workers. The
+/// N-detector fan-out vs N sequential stream replays, both windowed and
+/// judging on persistent shard workers. The
 /// acceptance gate for the fan-out is `fanout_3x` beating `replay_3x`.
 fn bench_multi_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("multi_pipeline");
@@ -82,7 +82,7 @@ fn bench_multi_pipeline(c: &mut Criterion) {
     let naive = NaiveCp::new(&records, 0.1);
     let tesseract = Tesseract::fit(&records, &validation, N_CLASSES);
     let detectors: Vec<&dyn DriftDetector> = vec![&prom, &naive, &tesseract];
-    let config = PipelineConfig { window: WINDOW, in_flight: 1, ..Default::default() };
+    let config = PipelineConfig { window: WINDOW, ..Default::default() };
 
     // The pre-fan-out shape: comparing N detectors on one stream means N
     // full replays — each pipeline ingests (and clones) every sample

@@ -128,33 +128,29 @@ fn bench_pool_vs_scoped(c: &mut Criterion) {
 
 /// The full streaming front-end at scale: windowed push/flush over the
 /// 100k stream, including per-window relabel selection and report
-/// assembly — what a serving loop actually pays per window. The
-/// double-buffered variant overlaps ingest with judging on the same
-/// persistent pool.
+/// assembly — what a serving loop actually pays per window.
 fn bench_stream_100k(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream_100k");
     group.sample_size(10);
     let prom = PromClassifier::new(calibration(256), PromConfig::default()).unwrap();
     let samples = stream(STREAM_LEN);
 
-    for (name, in_flight) in [("windowed_pipeline", 0), ("windowed_pipeline_double_buffered", 1)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut pipeline = DeploymentPipeline::new(
-                    &prom,
-                    PipelineConfig { window: 8192, in_flight, ..Default::default() },
-                );
-                let mut rejected = 0usize;
-                for report in pipeline.extend(samples.iter().cloned()) {
-                    rejected += report.flagged.len();
-                }
-                while let Some(report) = pipeline.flush() {
-                    rejected += report.flagged.len();
-                }
-                std::hint::black_box(rejected)
-            })
-        });
-    }
+    group.bench_function("windowed_pipeline", |b| {
+        b.iter(|| {
+            let mut pipeline = DeploymentPipeline::new(
+                &prom,
+                PipelineConfig { window: 8192, ..Default::default() },
+            );
+            let mut rejected = 0usize;
+            for report in pipeline.extend(samples.iter().cloned()) {
+                rejected += report.flagged.len();
+            }
+            if let Some(report) = pipeline.flush() {
+                rejected += report.flagged.len();
+            }
+            std::hint::black_box(rejected)
+        })
+    });
     group.finish();
 }
 

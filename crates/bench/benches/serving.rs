@@ -62,15 +62,10 @@ fn stream(n: usize) -> Vec<Sample> {
         .collect()
 }
 
-/// The pipeline every variant runs behind: full shard fan-out, two
-/// windows in flight (frozen policy, so a queue deeper than 1 is legal).
+/// The pipeline every variant runs behind: full shard fan-out, each
+/// window judged synchronously by the push that fills it.
 fn pipeline_config() -> PipelineConfig {
-    PipelineConfig {
-        window: WINDOW,
-        shards: available_shards(),
-        in_flight: 2,
-        ..Default::default()
-    }
+    PipelineConfig { window: WINDOW, shards: available_shards(), ..Default::default() }
 }
 
 /// Races the stream through the handle in `PRODUCERS` contiguous chunks.

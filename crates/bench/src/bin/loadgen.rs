@@ -278,7 +278,7 @@ fn serve_case(wl: &Workload, args: &Args, sink: MetricsSink) -> CaseOutcome {
     let schedule = args.schedule_over(per_producer);
     let lag_gauge = sink.gauge(DETECTION_LAG_GAUGE, DETECTION_LAG_HELP, &[]);
     let front = ServingFrontEnd::new(ServingConfig {
-        pipeline: PipelineConfig { window: args.window, in_flight: 1, ..Default::default() },
+        pipeline: PipelineConfig { window: args.window, ..Default::default() },
         queue: args.queue,
         record_admitted: false,
         metrics: Some(sink),

@@ -26,11 +26,9 @@
 //!   plus the window's samples to the caller. Every detector reports
 //!   exactly what a single-detector pipeline would have (optionally under
 //!   one shared relabeling budget, [`BudgetSharing::Shared`], for honest
-//!   same-stream detector comparison). With [`PipelineConfig::in_flight`]
-//!   set, ingest overlaps judging: while the workers judge window N,
-//!   `push` keeps filling window N+1, and reports drain strictly in window
-//!   order with byte-identical contents — up to `in_flight` windows late
-//!   (`flush` drains the tail).
+//!   same-stream detector comparison). Every window is judged to
+//!   completion by the `push` that fills it (`flush` judges the tail), so
+//!   a report always describes the window its call just closed.
 //! * [`DeploymentPipeline`] — the single-detector view: one engine over
 //!   one detector, reporting that detector's [`WindowReport`] per window.
 //! * **In-pipeline online recalibration** — a pipeline built with
@@ -44,7 +42,8 @@
 //!   `absorb_relabeled` / `replace_record` overrides, so no window pays a
 //!   full recalibration rebuild (see `benches/recalibration.rs`).
 
-use std::collections::VecDeque;
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use crate::calibration::{ReservoirCalibration, ReservoirDecision, ReservoirSnapshot};
@@ -52,7 +51,7 @@ use crate::committee::{PromConfig, PromJudgement};
 use crate::detector::{DriftDetector, Judgement, Relabeled, Sample, Truth};
 use crate::incremental::{select_flagged, select_for_relabeling, RelabelBudget};
 use crate::metrics::{Counter, Gauge, MetricsSink};
-use crate::pool::{PendingResults, ShardPool};
+use crate::pool::ShardPool;
 use crate::predictor::{PromClassifier, PromThresholdView};
 use crate::scoring::JudgeScratch;
 use crate::PromError;
@@ -66,19 +65,6 @@ const RICH_IS_GLOBAL: &str = "rich-judgement support is a detector-global proper
 /// it cannot be queried).
 pub fn available_shards() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Validates [`PipelineConfig::in_flight`] at pipeline build time: above 1
-/// only under [`CalibrationPolicy::Frozen`] — a deeper queue submits
-/// window N+1 before window N is collected, which must never race with
-/// (or hide results from) online calibration folding.
-fn assert_in_flight_depth(config: &PipelineConfig) {
-    assert!(
-        config.in_flight <= 1 || config.policy == CalibrationPolicy::Frozen,
-        "in_flight > 1 requires CalibrationPolicy::Frozen: an online policy \
-         mutates the detector when a window is collected, and overlapped later \
-         windows would race with (and judge blind to) that mutation"
-    );
 }
 
 /// Splits `samples` into at most `n_shards` contiguous chunks, maps each
@@ -247,9 +233,10 @@ pub struct PipelineConfig {
     /// Samples per window: a full window is judged and reported as one
     /// unit. Must be at least 1.
     pub window: usize,
-    /// Persistent shard workers judging each window (0 and 1 both mean
-    /// inline judging on the caller thread, unless
-    /// [`PipelineConfig::in_flight`] asks for a worker to hand windows to).
+    /// Persistent shard workers judging each window. At 2 or more the
+    /// pipeline owns a [`ShardPool`] and the push that fills a window
+    /// waits while the workers judge its chunks; 0 and 1 both mean
+    /// judging on the caller thread, with no worker at all.
     pub shards: usize,
     /// Relabeling budget applied to each window's rejects.
     pub budget: RelabelBudget,
@@ -264,23 +251,6 @@ pub struct PipelineConfig {
     /// absorbed (ignored under [`CalibrationPolicy::Frozen`], which never
     /// absorbs).
     pub eviction: BaseEviction,
-    /// Windows judging on the shard workers while ingest continues. 0
-    /// (the default) is synchronous: the push that fills window N judges
-    /// it to completion and returns its report. At depth d ≥ 1 a filled
-    /// window is handed to the workers and the call returns immediately,
-    /// so pushes keep filling window N+1 while the pool judges window N
-    /// (d = 1 is classic double-buffering); with d > 1 the pool's shared
-    /// job queue can also interleave later windows' shard jobs into an
-    /// earlier window's straggler idle time. Reports then arrive up to d
-    /// windows *late* — the `push` that fills window N+d returns window
-    /// N's report, and `flush` must be called until it returns `None` to
-    /// drain the tail — but strictly in window order and with
-    /// byte-identical contents (judgements, selection, absorption,
-    /// calibration sizes; `tests/pipeline_equivalence.rs`). Depths above
-    /// 1 require [`CalibrationPolicy::Frozen`], because overlapped judging
-    /// of window N+1 must never race with (or observe) the calibration
-    /// folding that collecting window N performs.
-    pub in_flight: usize,
 }
 
 impl Default for PipelineConfig {
@@ -292,7 +262,6 @@ impl Default for PipelineConfig {
             selection: SelectionPolicy::RejectVote,
             policy: CalibrationPolicy::Frozen,
             eviction: BaseEviction::Keep,
-            in_flight: 0,
         }
     }
 }
@@ -422,22 +391,6 @@ impl Judged {
         match self {
             Judged::Flat(js) => js,
             Judged::Rich(js) => js.into_iter().map(Judgement::from).collect(),
-        }
-    }
-}
-
-/// One asynchronously judged window of one detector, in either form.
-enum PendingWindow {
-    Flat(PendingResults<Judgement>),
-    Rich(PendingResults<PromJudgement>),
-}
-
-impl PendingWindow {
-    /// Blocks for the stitched judgements (see [`PendingResults::collect`]).
-    fn collect(self) -> Judged {
-        match self {
-            PendingWindow::Flat(pending) => Judged::Flat(pending.collect()),
-            PendingWindow::Rich(pending) => Judged::Rich(pending.collect()),
         }
     }
 }
@@ -701,31 +654,6 @@ fn evict_for_absorb(detector: &mut dyn DriftDetector, eviction: BaseEviction) {
     }
 }
 
-/// The asynchronously judged form of one window across a pipeline's
-/// detectors: independent per-detector jobs, or — for
-/// [`MultiPipeline::fanout`] — one **fused** job set whose every sample is
-/// judged once and re-thresholded per served configuration.
-enum PendingWindows {
-    /// One handle per registered detector, in registration order.
-    PerDetector(Vec<PendingWindow>),
-    /// One shared handle: each stitched element is one sample's
-    /// judgements across every served configuration, in registration
-    /// order ([`PromClassifier::judge_batch_fanout_scratch`] transposed
-    /// to sample-major for shard stitching).
-    Fused(PendingResults<Vec<PromJudgement>>),
-}
-
-/// One in-flight asynchronously judged window: the pending worker
-/// handle(s) plus the sample buffer the jobs point into.
-struct InFlight {
-    // Field order matters for `Drop`: the pending handles drain their
-    // jobs (which point into `samples`' heap buffer) before the buffer
-    // drops.
-    pending: PendingWindows,
-    samples: Vec<Sample>,
-    start: usize,
-}
-
 /// The format tag every [`DeploymentPipeline::snapshot`] value carries.
 const PIPELINE_SNAPSHOT_TAG: &str = "deployment-pipeline";
 
@@ -832,8 +760,7 @@ fn validate_pipeline_snapshot(
 /// This is the single-detector view of the one window engine: it holds a
 /// [`MultiPipeline`] over exactly one detector and unwraps that
 /// detector's [`WindowReport`] from every [`MultiReport`], so both
-/// front-ends share one buffer, pool, in-flight queue and per-window
-/// bookkeeping.
+/// front-ends share one buffer, pool and per-window bookkeeping.
 ///
 /// ```
 /// use prom_core::detector::{DriftDetector, Judgement, Sample};
@@ -891,9 +818,8 @@ impl<'a> DeploymentPipeline<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.window` is 0, if a
-    /// [`CalibrationPolicy::Reservoir`] capacity is 0, or if
-    /// [`PipelineConfig::in_flight`] exceeds 1 under an online policy.
+    /// Panics if `config.window` is 0, or if a
+    /// [`CalibrationPolicy::Reservoir`] capacity is 0.
     pub fn online(
         detector: &'a mut dyn DriftDetector,
         config: PipelineConfig,
@@ -924,15 +850,8 @@ impl<'a> DeploymentPipeline<'a> {
         self
     }
 
-    /// Pushes one sample; returns a window report when one is due.
-    ///
-    /// With [`PipelineConfig::in_flight`] at 0, the push that completes
-    /// window N returns window N's report (judging runs to completion
-    /// inside the call). At depth d ≥ 1, that push *submits* window N to
-    /// the shard workers and returns the report of window N−d once the
-    /// queue is full (collected just before the submission, so reports
-    /// still arrive strictly in window order) — ingest never stalls
-    /// behind judging.
+    /// Pushes one sample; the push that completes a window judges it to
+    /// completion inside the call and returns its report.
     pub fn push(&mut self, sample: Sample) -> Option<WindowReport> {
         self.engine.push(sample).map(MultiReport::into_single)
     }
@@ -943,28 +862,22 @@ impl<'a> DeploymentPipeline<'a> {
         stream.into_iter().filter_map(|s| self.push(s)).collect()
     }
 
-    /// Drains pending work in window order: first the in-flight windows
-    /// (oldest first), then whatever is buffered as a final (possibly
-    /// short) window — see [`MultiPipeline::flush`]. Returns one report
-    /// per call; **call until it returns `None`** to drain everything.
-    /// Once nothing is pending, `flush` is a documented no-op returning
-    /// `None`: it judges nothing, reports nothing, calls no hook, and
-    /// leaves every counter untouched, so defensive double-flushing is
-    /// always safe.
+    /// Judges whatever is buffered as a final (possibly short) window and
+    /// returns its report — see [`MultiPipeline::flush`]. With nothing
+    /// buffered, `flush` is a documented no-op returning `None`: it judges
+    /// nothing, reports nothing, calls no hook, and leaves every counter
+    /// untouched, so defensive double-flushing is always safe.
     pub fn flush(&mut self) -> Option<WindowReport> {
         self.engine.flush().map(MultiReport::into_single)
     }
 
     /// Samples accepted by `push` but not yet reported: the partial ingest
-    /// buffer plus the windows currently judging on the shard workers.
+    /// buffer.
     pub fn pending(&self) -> usize {
         self.engine.pending()
     }
 
-    /// Lifetime totals. With [`PipelineConfig::in_flight`] at d ≥ 1,
-    /// `judged` (and the other per-window counters) advance when a
-    /// window's report is collected, so they can trail `pushed` by up to
-    /// d full windows plus the partial buffer.
+    /// Lifetime totals.
     pub fn stats(&self) -> PipelineStats {
         self.state().stats
     }
@@ -989,9 +902,8 @@ impl<'a> DeploymentPipeline<'a> {
     /// in a later process: the detector's portable state
     /// ([`DriftDetector::snapshot_state`]), the reservoir sampler's exact
     /// mid-stream position, the partial ingest buffer, and the stream
-    /// counters. Any in-flight windows are drained first — their reports
-    /// are returned alongside the state, in window order — so a snapshot
-    /// never captures a half-judged window.
+    /// counters. Every full window was judged by the push that filled it,
+    /// so a snapshot never captures a half-judged window.
     ///
     /// Feed the value to [`DeploymentPipeline::restore_online`] (or
     /// [`DeploymentPipeline::restore`] for frozen pipelines) to resume;
@@ -1003,11 +915,7 @@ impl<'a> DeploymentPipeline<'a> {
     /// Errors when the pipeline runs an online (mutating) calibration
     /// policy over a detector that exposes no portable state — resuming
     /// such a pipeline elsewhere could not reproduce its absorbed records.
-    pub fn snapshot(&mut self) -> Result<(Vec<WindowReport>, Value), DeError> {
-        let mut reports = Vec::new();
-        while let Some(window) = self.engine.in_flight.pop_front() {
-            reports.push(self.engine.finish_in_flight(window).into_single());
-        }
+    pub fn snapshot(&self) -> Result<Value, DeError> {
         let state = self.state();
         let detector = state.detector.get().snapshot_state();
         if self.engine.config.policy != CalibrationPolicy::Frozen && detector.is_none() {
@@ -1026,7 +934,7 @@ impl<'a> DeploymentPipeline<'a> {
             next_start: self.engine.next_start,
             stats: state.stats,
         };
-        Ok((reports, snap.to_value()))
+        Ok(snap.to_value())
     }
 
     /// Rebuilds an *online* pipeline from a [`DeploymentPipeline::snapshot`]
@@ -1040,8 +948,8 @@ impl<'a> DeploymentPipeline<'a> {
     /// it: same `window`, same calibration policy family, same reservoir
     /// capacity. (A [`CalibrationPolicy::Reservoir`] seed is superseded by
     /// the snapshot's saved RNG position — the sampler resumes mid-stream,
-    /// it does not restart.) Execution knobs — `shards` and `in_flight` —
-    /// may differ freely; they never change report contents.
+    /// it does not restart.) The shard count may differ freely: it never
+    /// changes report contents.
     ///
     /// # Errors
     ///
@@ -1053,7 +961,7 @@ impl<'a> DeploymentPipeline<'a> {
     /// # Panics
     ///
     /// Panics where [`DeploymentPipeline::online`] does (zero window,
-    /// zero reservoir capacity, invalid in-flight depth).
+    /// zero reservoir capacity).
     pub fn restore_online(
         detector: &'a mut dyn DriftDetector,
         config: PipelineConfig,
@@ -1180,14 +1088,10 @@ pub type MultiWindowHook<'a> = Box<dyn FnMut(&MultiReport, &[Sample]) + Send + '
 /// — in every execution mode (`tests/pipeline_equivalence.rs`), provided
 /// the label oracle is a pure function of `(global index, sample)`.
 ///
-/// A pool is built only when there is something to hand it: `shards ≥ 2`
-/// (parallel judging) or [`PipelineConfig::in_flight`] ≥ 1 (overlapped
-/// judging). Otherwise every window is judged inline with one scratch
-/// owned by the pipeline — no worker thread, no cross-thread handoff.
-/// With `in_flight` at d ≥ 1, all N detectors' jobs for window W overlap
-/// with the ingest of the following windows on the same worker pool, and
-/// reports arrive up to d windows late ([`MultiPipeline::flush`] drains
-/// the tail).
+/// A pool is built only when `shards ≥ 2`. Otherwise every window is
+/// judged inline with one scratch owned by the pipeline — no worker
+/// thread, no cross-thread handoff. Either way the push that fills a
+/// window returns that window's reports.
 ///
 /// ```
 /// use prom_core::detector::{DriftDetector, Judgement, Sample};
@@ -1217,12 +1121,6 @@ pub type MultiWindowHook<'a> = Box<dyn FnMut(&MultiReport, &[Sample]) + Send + '
 /// assert!(pipeline.flush().is_none(), "nothing left buffered");
 /// ```
 pub struct MultiPipeline<'a> {
-    // Field order matters for `Drop`: an in-flight window drains its
-    // worker jobs (which borrow the detectors and the window's samples)
-    // before the pool joins its workers.
-    /// The windows currently judging on the pool (oldest first), at most
-    /// [`PipelineConfig::in_flight`] of them.
-    in_flight: VecDeque<InFlight>,
     /// The shared persistent shard workers (absent when every window is
     /// judged inline on the caller thread).
     pool: Option<ShardPool>,
@@ -1230,12 +1128,7 @@ pub struct MultiPipeline<'a> {
     config: PipelineConfig,
     sharing: BudgetSharing,
     buffer: Vec<Sample>,
-    /// Recycled window allocation: the samples of the last collected
-    /// window, cleared, ready to become the next ingest buffer.
-    spare: Option<Vec<Sample>>,
-    /// Global index of the first sample of the next window to be judged
-    /// (submission-time counter; the per-detector stats advance at
-    /// collection).
+    /// Global index of the first sample of the next window to be judged.
     next_start: usize,
     hook: Option<MultiWindowHook<'a>>,
     oracle: Option<LabelOracle<'a>>,
@@ -1252,15 +1145,14 @@ pub struct MultiPipeline<'a> {
 struct FusedFanout<'a> {
     base: &'a PromClassifier,
     /// One threshold configuration per registered detector, in
-    /// registration order. `Arc`ed so the pooled submission can hand the
-    /// worker closure a `'static` handle without transmuting.
-    configs: Arc<[PromConfig]>,
+    /// registration order.
+    configs: Vec<PromConfig>,
 }
 
 /// Judges `shard` once per sample through the shared kernel and returns
 /// **sample-major** rows (`rows[s][c]` = sample `s` under configuration
-/// `c`) — the shape [`ShardPool`] stitching needs (one element per input
-/// sample).
+/// `c`) — the shape [`ShardPool::map`] stitching needs (one element per
+/// input sample).
 fn fanout_rows(
     base: &PromClassifier,
     configs: &[PromConfig],
@@ -1341,9 +1233,8 @@ impl<'a> MultiPipeline<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `detectors` is empty, if `config.window` is 0, if a
-    /// [`CalibrationPolicy::Reservoir`] capacity is 0, or if
-    /// [`PipelineConfig::in_flight`] exceeds 1 under an online policy.
+    /// Panics if `detectors` is empty, if `config.window` is 0, or if a
+    /// [`CalibrationPolicy::Reservoir`] capacity is 0.
     pub fn online(
         detectors: Vec<&'a mut dyn DriftDetector>,
         config: PipelineConfig,
@@ -1399,7 +1290,7 @@ impl<'a> MultiPipeline<'a> {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut built = Self::build(handles, config, None);
-        built.fused = Some(FusedFanout { base, configs: configs.into() });
+        built.fused = Some(FusedFanout { base, configs });
         Ok(built)
     }
 
@@ -1410,19 +1301,13 @@ impl<'a> MultiPipeline<'a> {
     ) -> Self {
         assert!(!handles.is_empty(), "a multi-detector pipeline needs at least one detector");
         assert!(config.window >= 1, "pipeline window must hold at least one sample");
-        assert_in_flight_depth(&config);
         let states = handles.into_iter().map(|h| DetectorState::new(h, &config)).collect();
         Self {
-            in_flight: VecDeque::new(),
-            // Overlapped judging needs at least one worker to hand windows
-            // to; otherwise shards <= 1 judges inline without any threads.
-            pool: (config.shards >= 2 || config.in_flight >= 1)
-                .then(|| ShardPool::new(config.shards.max(1))),
+            pool: (config.shards >= 2).then(|| ShardPool::new(config.shards)),
             states,
             config,
             sharing: BudgetSharing::PerDetector,
             buffer: Vec::with_capacity(config.window),
-            spare: None,
             next_start: 0,
             hook: None,
             oracle,
@@ -1481,24 +1366,15 @@ impl<'a> MultiPipeline<'a> {
         self.states.iter().map(|s| s.detector.get().name()).collect()
     }
 
-    /// Pushes one sample; returns a window's worth of per-detector
-    /// reports when one is due. Synchronously (`in_flight` 0) that is the
-    /// window this push filled; at depth d ≥ 1 the push that fills window
-    /// N+d returns window N's reports, and [`MultiPipeline::flush`] drains
-    /// the tail.
+    /// Pushes one sample; the push that fills a window judges it to
+    /// completion for every detector and returns its per-detector
+    /// reports.
     pub fn push(&mut self, sample: Sample) -> Option<MultiReport> {
         self.buffer.push(sample);
         for state in &mut self.states {
             state.stats.pushed += 1;
         }
-        if self.buffer.len() < self.config.window {
-            return None;
-        }
-        if self.config.in_flight == 0 {
-            Some(self.emit())
-        } else {
-            self.rotate()
-        }
+        (self.buffer.len() >= self.config.window).then(|| self.emit())
     }
 
     /// Pushes every sample of `stream`, collecting the reports of all
@@ -1507,27 +1383,19 @@ impl<'a> MultiPipeline<'a> {
         stream.into_iter().filter_map(|s| self.push(s)).collect()
     }
 
-    /// Drains pending work in window order: first the in-flight windows
-    /// (oldest first, up to [`PipelineConfig::in_flight`] of them), then
-    /// whatever is buffered as a final (possibly short) window; one
-    /// report-set per call, **call until it returns `None`**. Within every
-    /// [`MultiReport`] the per-detector reports are already in
-    /// registration order, and successive `MultiReport`s are in window
-    /// order for every detector — overlapped judging delays reports by up
-    /// to `in_flight` windows but never reorders them. Once nothing is
-    /// pending, `flush` is a documented no-op: judges nothing, reports
-    /// nothing, calls no hook, leaves every counter untouched.
+    /// Judges whatever is buffered as a final (possibly short) window and
+    /// returns its report-set, per-detector reports in registration
+    /// order. With nothing buffered, `flush` is a documented no-op:
+    /// judges nothing, reports nothing, calls no hook, leaves every
+    /// counter untouched.
     pub fn flush(&mut self) -> Option<MultiReport> {
-        if let Some(window) = self.in_flight.pop_front() {
-            return Some(self.finish_in_flight(window));
-        }
         (!self.buffer.is_empty()).then(|| self.emit())
     }
 
-    /// Samples accepted by `push` but not yet reported (partial ingest
-    /// buffer plus any in-flight windows).
+    /// Samples accepted by `push` but not yet reported (the partial
+    /// ingest buffer).
     pub fn pending(&self) -> usize {
-        self.buffer.len() + self.in_flight.iter().map(|w| w.samples.len()).sum::<usize>()
+        self.buffer.len()
     }
 
     /// Lifetime totals, one per detector in registration order. Each
@@ -1543,132 +1411,24 @@ impl<'a> MultiPipeline<'a> {
         self.states.iter().map(|s| s.churn).collect()
     }
 
-    /// Synchronous window emission: judge the buffered window to
-    /// completion for every detector and report it.
+    /// Judges the buffered window to completion for every detector and
+    /// reports it.
     fn emit(&mut self) -> MultiReport {
         let samples = std::mem::take(&mut self.buffer);
         let start = self.next_start;
         self.next_start += samples.len();
-        let judged = match &self.pool {
-            // Fan every detector's jobs out before collecting any, so a
-            // cheap detector's chunks fill worker idle time while an
-            // expensive detector's window is still judging.
-            //
-            // SAFETY: `samples` outlives the handles — they are collected
-            // (or, on unwind, dropped and thereby drained) within this
-            // statement — and no detector is mutated before then.
-            Some(pool) => self.collect(unsafe { self.submit(pool, &samples) }),
-            None => judge_inline(&self.states, self.fused.as_ref(), &mut self.scratch, &samples),
-        };
+        let judged = judge_window(
+            &self.states,
+            self.fused.as_ref(),
+            self.pool.as_ref(),
+            &mut self.scratch,
+            &samples,
+        );
         let report = self.finish_window(&samples, judged, start);
         // Recycle the window's allocation as the next ingest buffer.
         let mut samples = samples;
         samples.clear();
         self.buffer = samples;
-        report
-    }
-
-    /// Overlapped rotation: collect the oldest in-flight window for every
-    /// detector once the queue is at its configured depth (folding its
-    /// relabels — which at depth 1 is why collection must precede the
-    /// next submission: window N+1's judging has to see the calibration
-    /// state window N left behind, exactly as in the sequential order;
-    /// deeper queues are frozen-only, where folding never mutates), then
-    /// hand the just-filled buffer to the pool and return immediately.
-    fn rotate(&mut self) -> Option<MultiReport> {
-        let prev = (self.in_flight.len() >= self.config.in_flight)
-            .then(|| self.in_flight.pop_front())
-            .flatten()
-            .map(|window| self.finish_in_flight(window));
-        let next = self.spare.take().unwrap_or_default();
-        let samples = std::mem::replace(&mut self.buffer, next);
-        let start = self.next_start;
-        self.next_start += samples.len();
-        let pool = self.pool.as_ref().expect("in_flight >= 1 always builds a pool");
-        // SAFETY: the handles are stored in `self.in_flight` next to the
-        // sample buffer their jobs point into and are always collected or
-        // dropped (field order drains them before the buffer and the pool
-        // go away), and the only detector mutation (`fold_relabels`)
-        // happens in `finish_window`, strictly after every handle
-        // submitted earlier has been collected (depth 1), or never at all
-        // (deeper queues are frozen-only — `assert_in_flight_depth`).
-        let pending = unsafe { self.submit(pool, &samples) };
-        self.in_flight.push_back(InFlight { pending, samples, start });
-        prev
-    }
-
-    /// Starts judging a window on `pool` without waiting — one fused job
-    /// set, or one job set per detector over the one shared sample
-    /// buffer, each in the form its selection policy picked.
-    ///
-    /// # Safety
-    ///
-    /// Lifetime erasure only — see [`ShardPool::submit_with`]: the caller
-    /// must keep `samples`' heap buffer alive, and every detector
-    /// un-mutated, until the returned handles are collected or dropped.
-    unsafe fn submit(&self, pool: &ShardPool, samples: &[Sample]) -> PendingWindows {
-        // SAFETY: the jobs see the detectors (and the fused base) through
-        // borrows erased from `'a` to `'static`; those borrows outlive the
-        // pipeline, and the caller contract keeps `samples` alive and
-        // every detector un-mutated until the handles drain. The fused
-        // configs travel by `Arc`, so they need no erasure.
-        unsafe {
-            if let Some(fused) = &self.fused {
-                let base: &'static PromClassifier = std::mem::transmute(fused.base);
-                let configs = Arc::clone(&fused.configs);
-                return PendingWindows::Fused(pool.submit_with(
-                    move |shard, scratch| fanout_rows(base, &configs, shard, scratch),
-                    samples,
-                ));
-            }
-            PendingWindows::PerDetector(
-                self.states
-                    .iter()
-                    .map(|state| {
-                        let detector: &'static dyn DriftDetector =
-                            std::mem::transmute(state.detector.get());
-                        if state.rich {
-                            PendingWindow::Rich(pool.submit_with(
-                                move |shard, scratch| {
-                                    detector
-                                        .judge_batch_rich_scratch(shard, scratch)
-                                        .expect(RICH_IS_GLOBAL)
-                                },
-                                samples,
-                            ))
-                        } else {
-                            PendingWindow::Flat(pool.submit_with(
-                                move |shard, scratch| detector.judge_batch_scratch(shard, scratch),
-                                samples,
-                            ))
-                        }
-                    })
-                    .collect(),
-            )
-        }
-    }
-
-    /// Blocks for every handle of a submitted window before any
-    /// bookkeeping: no detector may be mutated while another detector's
-    /// jobs still borrow the window.
-    fn collect(&self, pending: PendingWindows) -> Vec<Judged> {
-        match pending {
-            PendingWindows::PerDetector(pending) => {
-                pending.into_iter().map(PendingWindow::collect).collect()
-            }
-            PendingWindows::Fused(pending) => split_fanout(pending.collect(), &self.states),
-        }
-    }
-
-    /// Blocks for an in-flight window's judgements (all detectors) and
-    /// reports it.
-    fn finish_in_flight(&mut self, window: InFlight) -> MultiReport {
-        let InFlight { pending, samples, start } = window;
-        let judged = self.collect(pending);
-        let report = self.finish_window(&samples, judged, start);
-        let mut samples = samples;
-        samples.clear();
-        self.spare = Some(samples);
         report
     }
 
@@ -1723,32 +1483,58 @@ impl<'a> MultiPipeline<'a> {
     }
 }
 
-/// Judges a window to completion on the caller thread with the
-/// pipeline's one scratch — the pool-less path, in the form each
-/// detector's selection policy picked at construction.
-fn judge_inline(
+/// Judges a window to completion for every detector, in the form each
+/// detector's selection policy picked at construction: on the caller
+/// thread with the pipeline's one scratch, or split across `pool`'s
+/// workers, which [`ShardPool::map`] stitches back bit-identically.
+fn judge_window(
     states: &[DetectorState<'_>],
     fused: Option<&FusedFanout<'_>>,
+    pool: Option<&ShardPool>,
     scratch: &mut JudgeScratch,
     samples: &[Sample],
 ) -> Vec<Judged> {
     if let Some(fused) = fused {
-        let columns = fused.base.judge_batch_fanout_scratch(samples, &fused.configs, scratch);
-        return fanout_judged(columns, states);
+        let FusedFanout { base, configs } = fused;
+        return match pool {
+            Some(pool) => split_fanout(
+                pool.map(samples, |shard, scratch| fanout_rows(base, configs, shard, scratch)),
+                states,
+            ),
+            None => {
+                fanout_judged(base.judge_batch_fanout_scratch(samples, configs, scratch), states)
+            }
+        };
     }
     states
         .iter()
         .map(|state| {
             let detector = state.detector.get();
             if state.rich {
-                Judged::Rich(
-                    detector.judge_batch_rich_scratch(samples, scratch).expect(RICH_IS_GLOBAL),
-                )
+                Judged::Rich(map_window(pool, scratch, samples, |shard, scratch| {
+                    detector.judge_batch_rich_scratch(shard, scratch).expect(RICH_IS_GLOBAL)
+                }))
             } else {
-                Judged::Flat(detector.judge_batch_scratch(samples, scratch))
+                Judged::Flat(map_window(pool, scratch, samples, |shard, scratch| {
+                    detector.judge_batch_scratch(shard, scratch)
+                }))
             }
         })
         .collect()
+}
+
+/// Runs one window through `f`: across `pool`'s workers when there is a
+/// pool, else directly with the caller's scratch.
+fn map_window<T: Send>(
+    pool: Option<&ShardPool>,
+    scratch: &mut JudgeScratch,
+    samples: &[Sample],
+    f: impl Fn(&[Sample], &mut JudgeScratch) -> Vec<T> + Sync,
+) -> Vec<T> {
+    match pool {
+        Some(pool) => pool.map(samples, f),
+        None => f(samples, scratch),
+    }
 }
 
 #[cfg(test)]
@@ -1889,137 +1675,14 @@ mod tests {
     }
 
     #[test]
-    fn double_buffered_reports_match_the_synchronous_pipeline() {
-        let det = Threshold;
-        let run = |in_flight: usize| {
-            let mut pipeline = DeploymentPipeline::new(
-                &det,
-                PipelineConfig { window: 6, shards: 3, in_flight, ..Default::default() },
-            );
-            let mut reports = pipeline.extend(stream(40));
-            while let Some(report) = pipeline.flush() {
-                reports.push(report);
-            }
-            (reports, pipeline.stats())
-        };
-        let (sync_reports, sync_stats) = run(0);
-        let (db_reports, db_stats) = run(1);
-        assert_eq!(sync_reports.len(), db_reports.len());
-        for (a, b) in sync_reports.iter().zip(db_reports.iter()) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.judgements, b.judgements);
-            assert_eq!(a.flagged, b.flagged);
-            assert_eq!(a.relabel, b.relabel);
-        }
-        assert_eq!(sync_stats, db_stats);
-    }
-
-    #[test]
-    fn deeper_in_flight_queues_report_identically_and_in_order() {
-        let det = Threshold;
-        let run = |depth: usize| {
-            let mut pipeline = DeploymentPipeline::new(
-                &det,
-                PipelineConfig { window: 5, shards: 3, in_flight: depth, ..Default::default() },
-            );
-            let mut reports = pipeline.extend(stream(47));
-            while let Some(report) = pipeline.flush() {
-                reports.push(report);
-            }
-            (reports, pipeline.stats())
-        };
-        let (sync_reports, sync_stats) = run(0);
-        for depth in [1, 2, 4, 16] {
-            let (deep_reports, deep_stats) = run(depth);
-            assert_eq!(sync_reports.len(), deep_reports.len(), "depth {depth}");
-            for (a, b) in sync_reports.iter().zip(deep_reports.iter()) {
-                assert_eq!(a.index, b.index, "depth {depth}: in window order");
-                assert_eq!(a.start, b.start, "depth {depth}");
-                assert_eq!(a.judgements, b.judgements, "depth {depth}");
-                assert_eq!(a.flagged, b.flagged, "depth {depth}");
-                assert_eq!(a.relabel, b.relabel, "depth {depth}");
-            }
-            assert_eq!(sync_stats, deep_stats, "depth {depth}");
-        }
-    }
-
-    #[test]
-    fn deep_in_flight_push_delays_reports_by_the_configured_depth() {
-        let det = Threshold;
-        let mut pipeline = DeploymentPipeline::new(
-            &det,
-            PipelineConfig { window: 2, shards: 2, in_flight: 3, ..Default::default() },
-        );
-        let mut samples = stream(10).into_iter();
-        // Windows 0, 1, 2 fill the in-flight queue without reporting.
-        for i in 0..6 {
-            assert!(pipeline.push(samples.next().unwrap()).is_none(), "push {i}");
-        }
-        assert_eq!(pipeline.pending(), 6, "three windows in flight");
-        // Filling window 3 evicts (and reports) window 0.
-        assert!(pipeline.push(samples.next().unwrap()).is_none());
-        let report = pipeline.push(samples.next().unwrap()).expect("window 0 evicted");
-        assert_eq!(report.index, 0);
-        // Drain: windows 1, 2, 3 in order.
-        let mut indices = Vec::new();
-        while let Some(report) = pipeline.flush() {
-            indices.push(report.index);
-        }
-        assert_eq!(indices, vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires CalibrationPolicy::Frozen")]
-    fn deep_in_flight_queues_reject_online_policies() {
-        let mut det = Threshold;
-        let _ = DeploymentPipeline::online(
-            &mut det,
-            PipelineConfig {
-                policy: CalibrationPolicy::GrowUnbounded,
-                in_flight: 2,
-                ..Default::default()
-            },
-            |_, _| None,
-        );
-    }
-
-    #[test]
-    fn double_buffered_push_returns_the_previous_windows_report() {
-        let det = Threshold;
-        let mut pipeline = DeploymentPipeline::new(
-            &det,
-            PipelineConfig { window: 4, shards: 2, in_flight: 1, ..Default::default() },
-        );
-        let mut samples = stream(8).into_iter();
-        for _ in 0..3 {
-            assert!(pipeline.push(samples.next().unwrap()).is_none());
-        }
-        // Filling window 0 only submits it.
-        assert!(pipeline.push(samples.next().unwrap()).is_none());
-        assert_eq!(pipeline.pending(), 4, "window 0 is in flight");
-        for _ in 0..3 {
-            assert!(pipeline.push(samples.next().unwrap()).is_none());
-        }
-        // Filling window 1 returns window 0's report.
-        let report = pipeline.push(samples.next().unwrap()).expect("window 0 report");
-        assert_eq!(report.index, 0);
-        assert_eq!(report.start, 0);
-        // Draining: window 1 first, then nothing is buffered.
-        let tail = pipeline.flush().expect("window 1 report");
-        assert_eq!(tail.index, 1);
-        assert_eq!(tail.start, 4);
-        assert!(pipeline.flush().is_none());
-    }
-
-    #[test]
     fn flush_after_a_full_drain_is_a_noop_in_both_modes() {
         let det = Threshold;
-        for in_flight in [0, 1] {
+        // Inline (1 shard) and pooled (2 shards) judging.
+        for shards in [1, 2] {
             let hook_calls = std::sync::atomic::AtomicUsize::new(0);
             let mut pipeline = DeploymentPipeline::new(
                 &det,
-                PipelineConfig { window: 5, shards: 2, in_flight, ..Default::default() },
+                PipelineConfig { window: 5, shards, ..Default::default() },
             )
             .on_window(|_, _| {
                 hook_calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -2027,40 +1690,20 @@ mod tests {
             pipeline.extend(stream(13));
             while pipeline.flush().is_some() {}
             let drained = pipeline.stats();
-            assert_eq!(drained.judged, 13, "in_flight {in_flight}");
-            assert_eq!(drained.windows, 3, "in_flight {in_flight}");
-            assert_eq!(
-                hook_calls.load(std::sync::atomic::Ordering::SeqCst),
-                3,
-                "in_flight {in_flight}"
-            );
+            assert_eq!(drained.judged, 13, "shards {shards}");
+            assert_eq!(drained.windows, 3, "shards {shards}");
+            assert_eq!(hook_calls.load(std::sync::atomic::Ordering::SeqCst), 3, "shards {shards}");
 
             // The documented no-op: an empty partial window means flush
             // judges nothing, reports nothing, calls no hook, and leaves
             // every counter untouched — however often it is called.
             for _ in 0..3 {
-                assert!(pipeline.flush().is_none(), "in_flight {in_flight}");
+                assert!(pipeline.flush().is_none(), "shards {shards}");
             }
-            assert_eq!(pipeline.stats(), drained, "in_flight {in_flight}");
-            assert_eq!(
-                hook_calls.load(std::sync::atomic::Ordering::SeqCst),
-                3,
-                "in_flight {in_flight}"
-            );
+            assert_eq!(pipeline.stats(), drained, "shards {shards}");
+            assert_eq!(hook_calls.load(std::sync::atomic::Ordering::SeqCst), 3, "shards {shards}");
             drop(pipeline);
         }
-    }
-
-    #[test]
-    fn dropping_a_double_buffered_pipeline_with_an_in_flight_window_is_clean() {
-        let det = Threshold;
-        let mut pipeline = DeploymentPipeline::new(
-            &det,
-            PipelineConfig { window: 4, shards: 2, in_flight: 1, ..Default::default() },
-        );
-        pipeline.extend(stream(4)); // submits window 0, never collected
-        assert_eq!(pipeline.pending(), 4);
-        drop(pipeline); // must drain, not deadlock or crash
     }
 
     #[test]
@@ -2383,33 +2026,25 @@ mod tests {
         let (strict_reports, strict_stats) = single(&strict);
         let (rich_reports, rich_stats) = single(&rich);
 
-        for in_flight in [0, 1, 3] {
-            let mut multi =
-                MultiPipeline::new(vec![&strict, &rich], PipelineConfig { in_flight, ..config });
-            let mut reports = multi.extend(stream(40));
-            while let Some(r) = multi.flush() {
-                reports.push(r);
-            }
-            assert_eq!(multi.names(), vec!["threshold", "rich-threshold"]);
-            assert_eq!(reports.len(), strict_reports.len(), "in_flight={in_flight}");
-            for (w, multi_report) in reports.iter().enumerate() {
-                for (single_report, multi_detector_report) in [&strict_reports[w], &rich_reports[w]]
-                    .into_iter()
-                    .zip(multi_report.reports.iter())
-                {
-                    let mode = format!("in_flight={in_flight}");
-                    assert_eq!(multi_report.index, single_report.index, "{mode}");
-                    assert_eq!(multi_report.start, single_report.start, "{mode}");
-                    assert_eq!(
-                        single_report.judgements, multi_detector_report.judgements,
-                        "{mode}"
-                    );
-                    assert_eq!(single_report.flagged, multi_detector_report.flagged, "{mode}");
-                    assert_eq!(single_report.relabel, multi_detector_report.relabel, "{mode}");
-                }
-            }
-            assert_eq!(multi.stats(), vec![strict_stats, rich_stats], "in_flight={in_flight}");
+        let mut multi = MultiPipeline::new(vec![&strict, &rich], config);
+        let mut reports = multi.extend(stream(40));
+        while let Some(r) = multi.flush() {
+            reports.push(r);
         }
+        assert_eq!(multi.names(), vec!["threshold", "rich-threshold"]);
+        assert_eq!(reports.len(), strict_reports.len());
+        for (w, multi_report) in reports.iter().enumerate() {
+            for (single_report, multi_detector_report) in
+                [&strict_reports[w], &rich_reports[w]].into_iter().zip(multi_report.reports.iter())
+            {
+                assert_eq!(multi_report.index, single_report.index);
+                assert_eq!(multi_report.start, single_report.start);
+                assert_eq!(single_report.judgements, multi_detector_report.judgements);
+                assert_eq!(single_report.flagged, multi_detector_report.flagged);
+                assert_eq!(single_report.relabel, multi_detector_report.relabel);
+            }
+        }
+        assert_eq!(multi.stats(), vec![strict_stats, rich_stats]);
     }
 
     #[test]
@@ -2572,24 +2207,17 @@ mod tests {
                 budget: RelabelBudget { fraction: 0.5, min_count: 1 },
                 ..Default::default()
             };
-            // Every depth is held to the synchronous independent run.
-            let reference = run(MultiPipeline::new(refs.clone(), pc));
-            for in_flight in [0, 1, 3] {
-                let pc = PipelineConfig { in_flight, ..pc };
-                let fused = run(MultiPipeline::fanout(&base, configs.clone(), pc).unwrap());
-                let independent = run(MultiPipeline::new(refs.clone(), pc));
-                let mode = format!("shards {shards} in_flight {in_flight} {selection:?}");
-                for candidate in [&fused, &independent] {
-                    assert_eq!(candidate.len(), reference.len(), "{mode}");
-                    for (f, ind) in candidate.iter().zip(&reference) {
-                        assert_eq!((f.index, f.start), (ind.index, ind.start), "{mode}");
-                        assert_eq!(f.reports.len(), ind.reports.len(), "{mode}");
-                        for (fr, ir) in f.reports.iter().zip(&ind.reports) {
-                            assert_eq!(fr.judgements, ir.judgements, "judgements diverged: {mode}");
-                            assert_eq!(fr.flagged, ir.flagged, "flagged diverged: {mode}");
-                            assert_eq!(fr.relabel, ir.relabel, "relabel picks diverged: {mode}");
-                        }
-                    }
+            let fused = run(MultiPipeline::fanout(&base, configs.clone(), pc).unwrap());
+            let independent = run(MultiPipeline::new(refs.clone(), pc));
+            let mode = format!("shards {shards} {selection:?}");
+            assert_eq!(fused.len(), independent.len(), "{mode}");
+            for (f, ind) in fused.iter().zip(&independent) {
+                assert_eq!((f.index, f.start), (ind.index, ind.start), "{mode}");
+                assert_eq!(f.reports.len(), ind.reports.len(), "{mode}");
+                for (fr, ir) in f.reports.iter().zip(&ind.reports) {
+                    assert_eq!(fr.judgements, ir.judgements, "judgements diverged: {mode}");
+                    assert_eq!(fr.flagged, ir.flagged, "flagged diverged: {mode}");
+                    assert_eq!(fr.relabel, ir.relabel, "relabel picks diverged: {mode}");
                 }
             }
         }
@@ -2689,8 +2317,7 @@ mod tests {
         // 3 samples buffered), squeeze the state through JSON, restore.
         let mut first = DeploymentPipeline::new(&det, config);
         let mut reports = first.extend(samples[..13].iter().cloned());
-        let (drained, value) = first.snapshot().expect("frozen pipelines always snapshot");
-        reports.extend(drained);
+        let value = first.snapshot().expect("frozen pipelines always snapshot");
         drop(first);
 
         let json = serde::to_json_string(&value);
@@ -2719,7 +2346,7 @@ mod tests {
         let config = PipelineConfig { window: 5, shards: 1, ..Default::default() };
         let mut pipeline = DeploymentPipeline::new(&det, config);
         pipeline.extend(stream(8));
-        let (_, value) = pipeline.snapshot().unwrap();
+        let value = pipeline.snapshot().unwrap();
         drop(pipeline);
 
         // A different window size would shift every report boundary.

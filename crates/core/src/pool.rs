@@ -20,17 +20,15 @@
 //! chunks finished, never matters (`tests/pipeline_equivalence.rs` proves
 //! pool == scoped threads == sequential for every detector).
 //!
-//! # Cross-window scheduling
+//! # Concurrent callers
 //!
-//! Because all jobs flow through the one shared queue, the pool is a
-//! natural cross-window scheduler: when window N is down to a single
-//! straggler chunk, the workers that finished early immediately pull
-//! window N+1's chunks (submitted by the pipeline's overlapped ingest —
-//! [`crate::pipeline::PipelineConfig::in_flight`] — or by a *different*
-//! producer thread — the pool is `Sync` and
-//! every entry point takes `&self`) instead of idling behind the
-//! straggler. Each submission drains its own completion channel, so
-//! concurrent windows never observe each other's results.
+//! The pool is `Sync` and every entry point takes `&self`, so several
+//! producer threads may map windows through one pool at once. All jobs
+//! flow through the one shared queue: when one caller's window is down
+//! to a single straggler chunk, the workers that finished early pull
+//! another caller's chunks instead of idling. Each call drains its own
+//! completion channel, so concurrent windows never observe each other's
+//! results.
 //!
 //! # Panic hygiene
 //!
@@ -44,15 +42,11 @@
 //! # Safety model
 //!
 //! Jobs reference caller data (`&F`, the window's samples, per-chunk
-//! output slots) across a channel, which requires erasing lifetimes. The
-//! discipline that keeps this sound is *completion-before-return*: every
-//! code path — normal, panicking job, dead worker — drains one completion
-//! message per submitted job before the borrowed data can go away.
-//! Synchronous calls ([`ShardPool::map`]) drain before returning; the
-//! asynchronous form ([`ShardPool::submit_with`]) moves the closure and
-//! the output slots into the returned [`PendingResults`], whose `collect`
-//! and `Drop` both drain — the caller keeps the window's samples alive
-//! until then.
+//! output slots) across a channel, which requires erasing lifetimes.
+//! [`ShardPool::map`] is the only place that happens, and it is
+//! synchronous: on every path — normal, panicking job, dead worker — it
+//! receives one completion message per dispatched job before it returns
+//! or unwinds, so no job outlives the borrows it holds.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -120,8 +114,8 @@ unsafe fn run_shard<T, F>(
 /// Build it once (per pipeline, per evaluation run, …) and judge any
 /// number of windows through it; see the module docs for the determinism
 /// and panic-hygiene guarantees. The pool is `Sync` and every entry point
-/// takes `&self`, so any number of producer threads may submit windows
-/// concurrently — the serving front-end leans on exactly this.
+/// takes `&self`, so any number of threads may map windows through it
+/// concurrently.
 pub struct ShardPool {
     /// The shared job queue's send side; every worker holds a cloned
     /// receiver. Swapped for a closed dummy on drop to end the workers.
@@ -219,7 +213,10 @@ impl ShardPool {
         if samples.is_empty() {
             return Vec::new();
         }
-        let (chunk, chunks) = self.chunking(samples.len());
+        let chunk = samples.len().div_ceil(self.workers.len().min(samples.len()));
+        // The ceil division can need fewer chunks than workers; the output
+        // slots and the completion drain are sized by the real count.
+        let chunks = samples.len().div_ceil(chunk);
         if chunks == 1 {
             // One chunk = no parallelism to gain: run inline with the
             // pool's caller-side scratch (see `inline_scratch`). A prior
@@ -235,19 +232,24 @@ impl ShardPool {
         let mut outputs: Vec<Option<Vec<T>>> = Vec::new();
         outputs.resize_with(chunks, || None);
         let (done_tx, done_rx) = unbounded();
-
-        // SAFETY: `f` and `samples` live on this stack frame and
-        // `outputs` has one slot per chunk; the drain below completes
-        // before any of them can go away.
-        unsafe {
-            self.dispatch(
-                run_shard::<T, F>,
-                std::ptr::from_ref(&f).cast(),
-                samples,
-                chunk,
-                outputs.as_mut_ptr(),
-                &done_tx,
-            );
+        // Chunk `i` writes output slot `i`, whichever worker pulls it.
+        // The drain below keeps `f`, `samples` and `outputs` alive and
+        // untouched until every job has completed (module docs).
+        let f_ptr: *const () = std::ptr::from_ref(&f).cast();
+        for (shard, slot) in samples.chunks(chunk).zip(&mut outputs) {
+            let job = RawJob {
+                run: run_shard::<T, F>,
+                f: f_ptr,
+                shard_ptr: shard.as_ptr(),
+                shard_len: shard.len(),
+                out: std::ptr::from_mut(slot).cast(),
+                done: done_tx.clone(),
+            };
+            self.injector.send(job).expect("shard workers hung up");
+        }
+        if let Some(live) = self.instruments.get() {
+            live.windows.inc();
+            live.jobs.add(chunks as u64);
         }
         drop(done_tx);
         let panic = drain(&done_rx, chunks);
@@ -296,116 +298,6 @@ impl ShardPool {
                 .expect("rich-judgement support is a detector-global property")
         }))
     }
-
-    /// Starts mapping `samples` through `f` on the pool **without
-    /// waiting** — the asynchronous form behind the pipeline's pooled
-    /// judging (the multi-detector fan-out submits one such window per
-    /// detector over a single shared sample buffer). Returns a
-    /// [`PendingResults`] that owns the workers' output slots; judging
-    /// proceeds on the workers while the caller does other work, and
-    /// [`PendingResults::collect`] blocks for the stitched results.
-    ///
-    /// The returned handle does **not** own the samples: the jobs hold
-    /// raw pointers into `samples`' heap buffer.
-    ///
-    /// # Safety
-    ///
-    /// `f` must be `'static` in name only — it typically captures a
-    /// detector reference transmuted to `'static`. The caller must keep
-    /// everything the jobs reference alive and un-mutated until the
-    /// handle is collected or dropped (both drain every outstanding
-    /// job): the `samples` heap buffer (moving the `Vec` handle is fine;
-    /// dropping, clearing, or reallocating it is not) and whatever `f`'s
-    /// captures really borrow. The caller must also not defeat the drain
-    /// with `std::mem::forget` on the handle. Violating either is a data
-    /// race / use-after-free on a worker thread. `MultiPipeline` upholds
-    /// this by storing the handles next to the sample buffer they were
-    /// made from, collecting before any detector mutation (online relabel
-    /// folding), and draining on drop.
-    pub unsafe fn submit_with<T, F>(&self, f: F, samples: &[Sample]) -> PendingResults<T>
-    where
-        T: Send + 'static,
-        F: Fn(&[Sample], &mut JudgeScratch) -> Vec<T> + Send + Sync + 'static,
-    {
-        // Boxed so the closure lives on the heap: the jobs point at the
-        // heap closure, which stays put while the owning Box handle moves
-        // into the returned struct.
-        let f = Box::new(f);
-        let run = run_shard::<T, F>;
-        let f_ptr: *const () = std::ptr::from_ref(&*f).cast();
-
-        let (chunk, chunks) =
-            if samples.is_empty() { (1, 0) } else { self.chunking(samples.len()) };
-        let mut outputs: Vec<Option<Vec<T>>> = Vec::new();
-        outputs.resize_with(chunks, || None);
-        let (done_tx, done_rx) = unbounded();
-
-        // Pointers were taken before the Vec/Box containers move into the
-        // returned struct: moving a Vec or Box relocates only the handle,
-        // never the heap data the pointers target.
-        //
-        // SAFETY: the boxed closure and the outputs Vec move into (and
-        // are kept alive by) the returned PendingResults, whose
-        // collect/Drop drain every job; the samples buffer is kept alive
-        // by the caller (this function's contract).
-        unsafe {
-            self.dispatch(run, f_ptr, samples, chunk, outputs.as_mut_ptr(), &done_tx);
-        }
-        // Drop our sender so a vanished worker surfaces as a disconnect
-        // instead of a deadlock.
-        drop(done_tx);
-        PendingResults { outputs, done_rx, outstanding: chunks, _keep: f }
-    }
-
-    /// The chunk geometry both entry points share: contiguous `div_ceil`
-    /// chunks, at most one per worker, each at least one sample.
-    /// Returns `(chunk_size, chunk_count)`; `len` must be non-zero.
-    fn chunking(&self, len: usize) -> (usize, usize) {
-        let chunk = len.div_ceil(self.workers.len().min(len));
-        // The ceil division can need fewer chunks than workers; the
-        // output slots and completion drain are sized by the real count.
-        (chunk, len.div_ceil(chunk))
-    }
-
-    /// Sends one [`RawJob`] per chunk of `samples` into the shared job
-    /// queue — chunk `i` writes output slot `i`, whichever worker pulls
-    /// it — the single dispatch loop behind both the synchronous and
-    /// asynchronous entry points.
-    ///
-    /// # Safety
-    ///
-    /// `f_ptr` must point at a live `F` and `out_base` at
-    /// `len.div_ceil(chunk)` live `Option<Vec<T>>` slots, for the `T`/`F`
-    /// that `run` was monomorphized over; both (and `samples`' heap data)
-    /// must stay alive and untouched until one completion message per
-    /// dispatched job has been received from the paired receiver.
-    unsafe fn dispatch<T>(
-        &self,
-        run: unsafe fn(*const (), *const Sample, usize, *mut (), &mut JudgeScratch),
-        f_ptr: *const (),
-        samples: &[Sample],
-        chunk: usize,
-        out_base: *mut Option<Vec<T>>,
-        done_tx: &Sender<Result<(), PanicPayload>>,
-    ) {
-        for (i, shard) in samples.chunks(chunk).enumerate() {
-            let job = RawJob {
-                run,
-                f: f_ptr,
-                shard_ptr: shard.as_ptr(),
-                shard_len: shard.len(),
-                // SAFETY: `i < len.div_ceil(chunk)`, the slot count the
-                // caller guarantees; slots are disjoint per job.
-                out: unsafe { out_base.add(i) }.cast(),
-                done: done_tx.clone(),
-            };
-            self.injector.send(job).expect("shard workers hung up");
-        }
-        if let Some(live) = self.instruments.get() {
-            live.windows.inc();
-            live.jobs.add(samples.len().div_ceil(chunk) as u64);
-        }
-    }
 }
 
 impl Drop for ShardPool {
@@ -420,55 +312,6 @@ impl Drop for ShardPool {
             // somehow did, dropping the pool must not double-panic.
             let _ = thread.join();
         }
-    }
-}
-
-/// One in-flight asynchronously mapped window (see
-/// [`ShardPool::submit_with`]). Owns the workers' output slots and the
-/// type-erased closure — but **not** the window's samples, which the
-/// submitting caller must keep alive (that is what lets the
-/// multi-detector fan-out share one sample buffer across N handles).
-/// Dropping it without collecting still drains every outstanding job
-/// (discarding the results).
-pub struct PendingResults<T> {
-    outputs: Vec<Option<Vec<T>>>,
-    done_rx: Receiver<Result<(), PanicPayload>>,
-    outstanding: usize,
-    /// Keeps the type-erased job closure (and with it whatever erased
-    /// references it captured) alive until every job has drained.
-    _keep: Box<dyn Any + Send + Sync>,
-}
-
-impl<T> PendingResults<T> {
-    /// Blocks until every shard job has completed and returns the
-    /// stitched results (bit-identical to running the closure over the
-    /// whole window sequentially).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises (on this thread) the panic of any shard job — after all
-    /// jobs have drained, so the pool and the caller's state stay
-    /// consistent.
-    pub fn collect(mut self) -> Vec<T> {
-        let panic = drain(&self.done_rx, std::mem::take(&mut self.outstanding));
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-        self.outputs
-            .iter_mut()
-            .flat_map(|slot| slot.take().expect("completed job must have written its slot"))
-            .collect()
-    }
-}
-
-impl<T> Drop for PendingResults<T> {
-    fn drop(&mut self) {
-        // `collect` zeroes `outstanding`; an uncollected handle drains
-        // here so the borrows the jobs hold end before the owner goes
-        // away. Panic payloads are discarded — dropping the handle is
-        // the caller abandoning the window.
-        let _ = drain(&self.done_rx, self.outstanding);
-        self.outstanding = 0;
     }
 }
 
@@ -534,11 +377,6 @@ mod tests {
         }
     }
 
-    /// The asynchronous tests' job: judges a shard with [`Trip`].
-    fn judge_trip(shard: &[Sample], scratch: &mut JudgeScratch) -> Vec<Judgement> {
-        Trip.judge_batch_scratch(shard, scratch)
-    }
-
     fn stream(n: usize) -> Vec<Sample> {
         (0..n)
             .map(|i| {
@@ -583,29 +421,6 @@ mod tests {
         let ids =
             pool.map(&samples, |shard, _| shard.iter().map(|s| s.embedding[0] as usize).collect());
         assert_eq!(ids, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn submit_then_collect_matches_sequential() {
-        let det = Trip;
-        let pool = ShardPool::new(4);
-        let samples = stream(37);
-        let expected = det.judge_batch(&samples);
-        // SAFETY: `samples` outlives the handle, which is collected below.
-        let pending = unsafe { pool.submit_with(judge_trip, &samples) };
-        assert_eq!(pending.collect(), expected);
-    }
-
-    #[test]
-    fn dropping_a_pending_window_drains_without_hanging() {
-        let det = Trip;
-        let pool = ShardPool::new(2);
-        let samples = stream(20);
-        // SAFETY: `samples` outlives the handle, which drains on drop.
-        let pending = unsafe { pool.submit_with(judge_trip, &samples) };
-        drop(pending);
-        // Workers are still healthy afterwards.
-        assert_eq!(pool.judge(&det, &stream(6)), det.judge_batch(&stream(6)));
     }
 
     #[test]
@@ -654,37 +469,5 @@ mod tests {
                 h.join().expect("producer thread");
             }
         });
-    }
-
-    #[test]
-    fn overlapping_async_windows_collect_independently() {
-        // Submit several windows before collecting any — the shared queue
-        // interleaves their chunks across the workers, but each handle
-        // stitches only its own slots.
-        let det = Trip;
-        let pool = ShardPool::new(2);
-        let windows: Vec<Vec<Sample>> = (0..5).map(|w| stream(17 + w * 5)).collect();
-        let expected: Vec<Vec<Judgement>> = windows.iter().map(|w| det.judge_batch(w)).collect();
-        // SAFETY: `windows` outlives every handle; all are collected below.
-        let pending: Vec<PendingResults<Judgement>> =
-            windows.iter().map(|w| unsafe { pool.submit_with(judge_trip, w) }).collect();
-        for (pending, expected) in pending.into_iter().zip(&expected) {
-            assert_eq!(&pending.collect(), expected);
-        }
-    }
-
-    #[test]
-    fn async_panic_surfaces_at_collect_not_submit() {
-        let det = Trip;
-        let pool = ShardPool::new(2);
-        let mut poisoned = stream(8);
-        poisoned[0].embedding[0] = -2.0;
-        // SAFETY: `poisoned` outlives the handle, which is collected below.
-        let pending = unsafe { pool.submit_with(judge_trip, &poisoned) };
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| pending.collect()))
-            .expect_err("collect must re-raise the shard panic");
-        drop(err);
-        // And the pool keeps serving.
-        assert_eq!(pool.judge(&det, &stream(4)), det.judge_batch(&stream(4)));
     }
 }

@@ -19,15 +19,15 @@
 //!   [`ServingOutcome::rejected`].
 //! * **One collator thread** drains the queue in arrival order and drives
 //!   one [`MultiPipeline`] exactly as a synchronous caller would: windows
-//!   form serving-side, in admission order. Everything downstream — shard
-//!   fan-out, overlapped judging up to [`PipelineConfig::in_flight`]
-//!   windows deep, relabel selection, online calibration folding — is the
-//!   ordinary pipeline machinery. The single-detector entry points
-//!   unwrap each window's only report.
+//!   form serving-side, in admission order, and the push that fills a
+//!   window judges it before the collator dequeues the next sample.
+//!   Everything downstream — shard fan-out, relabel selection, online
+//!   calibration folding — is the ordinary pipeline machinery. The
+//!   single-detector entry points unwrap each window's only report.
 //! * **Latency** is recorded per sample on a monotonic clock
 //!   ([`std::time::Instant`]): stamped at **admission** — inside the
 //!   queue-slot handoff, after any backpressure wait — settled when the
-//!   sample's window report is collected, accumulated into a
+//!   sample's window has been judged, accumulated into a
 //!   log-bucketed [`LatencyHistogram`] (≈3% relative error) whose
 //!   p50/p99/p999 are first-class outputs next to the reports.
 //! * **Live metrics** are optional: attach a
@@ -52,6 +52,8 @@
 //! the submission order, so the whole front-end is deterministic
 //! end-to-end.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,8 +72,8 @@ pub use crate::metrics::{LatencyHistogram, LatencySummary};
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// The pipeline behind the admission queue — window size, shards,
-    /// relabel budget, selection and calibration policies, and in-flight
-    /// depth all apply unchanged.
+    /// relabel budget, selection and calibration policies all apply
+    /// unchanged.
     pub pipeline: PipelineConfig,
     /// Admission queue capacity in samples — must be at least 1
     /// ([`ServingFrontEnd::new`] rejects 0 outright rather than silently
@@ -237,8 +239,7 @@ struct ServingInstruments {
     /// [`ServingOutcome::latency`], live.
     latency: Arc<Histogram>,
     /// `prom_serving_window_judge_ns` — collator time inside the
-    /// pipeline call that produced a window report (includes any wait on
-    /// in-flight windows when judging overlaps ingest).
+    /// pipeline call that judged a window and produced its report.
     window_judge: Arc<Histogram>,
 }
 
@@ -553,11 +554,9 @@ fn collate<R>(
             reports.push(report(multi));
         }
     }
-    // Every producer handle is gone: drain the in-flight windows and the
-    // partial tail, oldest first.
-    loop {
-        let flushed_at = instruments.map(|_| Instant::now());
-        let Some(multi) = pipeline.flush() else { break };
+    // Every producer handle is gone: judge the partial tail.
+    let flushed_at = instruments.map(|_| Instant::now());
+    if let Some(multi) = pipeline.flush() {
         if let (Some(live), Some(at)) = (instruments, flushed_at) {
             live.window_judge.record(at.elapsed());
         }
@@ -639,7 +638,7 @@ mod tests {
     fn concurrent_producers_judge_every_admitted_sample_exactly_once() {
         let det = Slowpoke { delay: Duration::ZERO };
         let front = ServingFrontEnd::new(ServingConfig {
-            pipeline: PipelineConfig { window: 16, shards: 2, in_flight: 1, ..Default::default() },
+            pipeline: PipelineConfig { window: 16, shards: 2, ..Default::default() },
             queue: 8,
             record_admitted: true,
             metrics: None,

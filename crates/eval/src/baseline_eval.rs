@@ -73,8 +73,7 @@ pub fn evaluate_detector_on(
 /// once — and scores each detector's reject decisions against
 /// misprediction truth. This replaces the detector-by-detector judging
 /// loop the detector-quality figures used to run (N passes over the
-/// stream): one pass now serves all N detectors, with ingest overlapping
-/// judging ([`PipelineConfig::in_flight`]). Per-detector judgements
+/// stream): one pass now serves all N detectors. Per-detector judgements
 /// are bit-identical to [`evaluate_detector`] over the same stream
 /// (`tests/pipeline_equivalence.rs`), so adopting the fan-out changes
 /// figure throughput, never figures.
@@ -86,12 +85,7 @@ pub fn evaluate_detectors(
     assert_eq!(stream.len(), mispredicted.len(), "one misprediction flag per stream sample");
     let mut pipeline = MultiPipeline::new(
         detectors.to_vec(),
-        PipelineConfig {
-            window: 4096,
-            shards: available_shards(),
-            in_flight: 1,
-            ..Default::default()
-        },
+        PipelineConfig { window: 4096, shards: available_shards(), ..Default::default() },
     );
     let mut confusions = vec![BinaryConfusion::default(); detectors.len()];
     let mut record = |multi: &MultiReport| {
@@ -104,7 +98,7 @@ pub fn evaluate_detectors(
     for multi in pipeline.extend(stream.iter().cloned()) {
         record(&multi);
     }
-    while let Some(multi) = pipeline.flush() {
+    if let Some(multi) = pipeline.flush() {
         record(&multi);
     }
     drop(pipeline);
@@ -143,24 +137,11 @@ pub fn evaluate_detector_online(
     assert_eq!(stream.len(), mispredicted.len(), "one misprediction flag per stream sample");
     let mut pipeline = DeploymentPipeline::online(
         detector,
-        PipelineConfig {
-            window,
-            shards: available_shards(),
-            policy,
-            // Overlap judging with ingest: while the pool judges window N
-            // the loop below feeds window N+1. Report contents are
-            // byte-identical either way (`tests/pipeline_equivalence.rs`).
-            in_flight: 1,
-            ..Default::default()
-        },
+        PipelineConfig { window, shards: available_shards(), policy, ..Default::default() },
         |global, _s| Some(Truth::Label(oracle_labels[global])),
     );
     let mut reports = pipeline.extend(stream.iter().cloned());
-    // Overlapped draining: flush until the in-flight window and the
-    // partial tail are both reported.
-    while let Some(report) = pipeline.flush() {
-        reports.push(report);
-    }
+    reports.extend(pipeline.flush());
     let stats = pipeline.stats();
     drop(pipeline);
 

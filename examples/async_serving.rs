@@ -128,7 +128,7 @@ fn main() {
     let cold = NaiveCp::new(&records, 0.1);
 
     let front = ServingFrontEnd::new(ServingConfig {
-        pipeline: PipelineConfig { window: WINDOW, in_flight: 1, ..Default::default() },
+        pipeline: PipelineConfig { window: WINDOW, ..Default::default() },
         queue: QUEUE,
         record_admitted: false,
         metrics: None,

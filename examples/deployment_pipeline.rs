@@ -10,10 +10,8 @@
 //! 2. stream everything through **one online pipeline** under
 //!    `CalibrationPolicy::Reservoir`: every window is judged by the
 //!    persistent shard-worker pool (long-lived threads, each reusing one
-//!    scratch for the whole run) **overlapped with ingest** — while the
-//!    workers judge window N, `push` fills window N+1
-//!    (`in_flight: 1`) — its budgeted relabel picks are labeled by
-//!    the oracle (the "ask an expert" step), and the picks are folded
+//!    scratch for the whole run) inside the `push` that fills it — its
+//!    budgeted relabel picks are labeled by the oracle (the "ask an expert" step), and the picks are folded
 //!    straight into the detector's live calibration set by incremental
 //!    insert/replace — no full recalibration rebuild anywhere;
 //! 3. drift begins 40% into the stream (mid phase 1); the detector adapts
@@ -114,10 +112,6 @@ fn main() {
             window: WINDOW,
             shards: available_shards(),
             policy: CalibrationPolicy::Reservoir { cap: RESERVOIR_CAP, seed: 0 },
-            // Ingest overlaps judging on the persistent pool; reports are
-            // byte-identical to the non-overlapped pipeline, one window
-            // late (`tests/pipeline_equivalence.rs`).
-            in_flight: 1,
             ..Default::default()
         },
         |global, _s| Some(Truth::Label(sample_at(global, total).1)),
@@ -150,9 +144,8 @@ fn main() {
             account(&report, &mut phases, &mut window_clock);
         }
     }
-    // Double-buffered draining: flush until the in-flight window and the
-    // partial tail are both reported.
-    while let Some(report) = pipeline.flush() {
+    // The partial tail window.
+    if let Some(report) = pipeline.flush() {
         account(&report, &mut phases, &mut window_clock);
     }
     let stats = pipeline.stats();

@@ -10,10 +10,9 @@
 //!    one in-distribution calibration split;
 //! 2. stream everything through **one online [`MultiPipeline`]**: each
 //!    window is ingested once and fanned out to all four detectors as
-//!    independent jobs on one shared shard pool, overlapped with ingest
-//!    (`in_flight: 1`) — before this mode, comparing N detectors
-//!    meant replaying the stream N times and re-paying the shared
-//!    feature/forward pass each replay;
+//!    independent jobs on one shared shard pool — before this mode,
+//!    comparing N detectors meant replaying the stream N times and
+//!    re-paying the shared feature/forward pass each replay;
 //! 3. the relabeling budget is **shared** (`.shared_budget(0)` — Prom is
 //!    the selector) under `SelectionPolicy::CredibilityRank`: each
 //!    window's expert-label budget goes to Prom's lowest-credibility
@@ -97,7 +96,6 @@ fn main() {
             window: WINDOW,
             selection: SelectionPolicy::CredibilityRank,
             policy: CalibrationPolicy::Reservoir { cap: RESERVOIR_CAP, seed: 0 },
-            in_flight: 1,
             ..Default::default()
         },
         move |global, _s| Some(Truth::Label(sample_at(global, total).1)),
@@ -131,7 +129,7 @@ fn main() {
             tally(&reports);
         }
     }
-    while let Some(reports) = pipeline.flush() {
+    if let Some(reports) = pipeline.flush() {
         tally(&reports);
     }
     let elapsed = started.elapsed();

@@ -20,14 +20,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Machine fingerprint: kernel/arch plus CPU identity — kernel alone is not
-# enough (two cloud runners can share a kernel image across different CPU
-# generations, and absolute medians do not transfer between CPUs).
+# Machine fingerprint: OS/arch, CPU model and core count — what absolute
+# medians depend on. The kernel release is left out on purpose: a patch
+# bump of a container host's kernel does not change the hardware, and
+# keying on it would silently disarm the gate after every bump.
 cpu="$(grep -m1 '^model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2- | xargs || true)"
 if [ -z "$cpu" ] && command -v sysctl >/dev/null 2>&1; then
     cpu="$(sysctl -n machdep.cpu.brand_string 2>/dev/null || true)"
 fi
-fingerprint="$(uname -srm)${cpu:+ / $cpu}"
+cores="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo '?')"
+fingerprint="$(uname -sm)${cpu:+ / $cpu} / ${cores} cpus"
 
 if [ "${PERF_GATE_BOOTSTRAP:-0}" != "1" ]; then
     # Exit-code contract with perf_gate: 0 = armed (or bootstrap) — run the

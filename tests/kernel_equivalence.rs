@@ -366,27 +366,24 @@ fn fused_fanout_reports_match_standalone_classifiers() {
         configs.iter().map(|c| PromClassifier::new(records.clone(), c.clone()).unwrap()).collect();
     let stream = classification_stream(47, 3);
 
-    for in_flight in [0, 1] {
-        let pipeline_config =
-            PipelineConfig { window: 9, shards: 2, in_flight, ..Default::default() };
-        let run = |mut p: MultiPipeline<'_>| {
-            let mut reports = p.extend(stream.iter().cloned());
-            while let Some(r) = p.flush() {
-                reports.push(r);
-            }
-            reports
-        };
-        let fused = run(MultiPipeline::fanout(&base, configs.clone(), pipeline_config).unwrap());
-        let refs: Vec<&dyn DriftDetector> =
-            standalone.iter().map(|d| d as &dyn DriftDetector).collect();
-        let independent = run(MultiPipeline::new(refs, pipeline_config));
-        assert_eq!(fused.len(), independent.len());
-        for (f, ind) in fused.iter().zip(&independent) {
-            for (fr, ir) in f.reports.iter().zip(&ind.reports) {
-                assert_eq!(fr.judgements, ir.judgements, "in_flight={in_flight}");
-                assert_eq!(fr.flagged, ir.flagged, "in_flight={in_flight}");
-                assert_eq!(fr.relabel, ir.relabel, "in_flight={in_flight}");
-            }
+    let pipeline_config = PipelineConfig { window: 9, shards: 2, ..Default::default() };
+    let run = |mut p: MultiPipeline<'_>| {
+        let mut reports = p.extend(stream.iter().cloned());
+        while let Some(r) = p.flush() {
+            reports.push(r);
+        }
+        reports
+    };
+    let fused = run(MultiPipeline::fanout(&base, configs.clone(), pipeline_config).unwrap());
+    let refs: Vec<&dyn DriftDetector> =
+        standalone.iter().map(|d| d as &dyn DriftDetector).collect();
+    let independent = run(MultiPipeline::new(refs, pipeline_config));
+    assert_eq!(fused.len(), independent.len());
+    for (f, ind) in fused.iter().zip(&independent) {
+        for (fr, ir) in f.reports.iter().zip(&ind.reports) {
+            assert_eq!(fr.judgements, ir.judgements);
+            assert_eq!(fr.flagged, ir.flagged);
+            assert_eq!(fr.relabel, ir.relabel);
         }
     }
 }

@@ -161,11 +161,7 @@ fn assert_resumes_bit_identically(
     let value = {
         let mut pipeline = DeploymentPipeline::online(first_det.as_mut(), config, oracle);
         reports = pipeline.extend(stream[..cut].iter().cloned());
-        let (drained, value) = pipeline
-            .snapshot()
-            .unwrap_or_else(|e| panic!("{context}: snapshot must succeed, got {e}"));
-        reports.extend(drained);
-        value
+        pipeline.snapshot().unwrap_or_else(|e| panic!("{context}: snapshot must succeed, got {e}"))
     };
     drop(first_det);
 
@@ -485,7 +481,7 @@ fn regenerate_golden_snapshot() {
     let mut detector = PromClassifier::new(records, PromConfig::default()).unwrap();
     let mut pipeline = DeploymentPipeline::online(&mut detector, config, label_oracle);
     pipeline.extend(stream[..GOLDEN_CUT].iter().cloned());
-    let (_, value) = pipeline.snapshot().expect("the golden pipeline snapshots");
+    let value = pipeline.snapshot().expect("the golden pipeline snapshots");
     drop(pipeline);
     std::fs::write(GOLDEN_PATH, serde::to_json_string(&value) + "\n")
         .expect("fixture directory exists");

@@ -1,7 +1,7 @@
 //! Pipeline equivalence: the persistent shard-worker pool
-//! (`prom::core::pool::ShardPool`) and the double-buffered
-//! `DeploymentPipeline` built on it exist purely to parallelize and
-//! overlap work — they must never change an output. This tier proves,
+//! (`prom::core::pool::ShardPool`) and the sharded `DeploymentPipeline`
+//! built on it exist purely to parallelize work — they must never change
+//! an output. This tier proves,
 //! for every detector in the workspace and across shard counts
 //! {1, 2, 7, #cpus}:
 //!
@@ -9,8 +9,8 @@
 //!   `Judgement` path (the scoped `judge_sharded` from PR 2 is kept as an
 //!   independent reference implementation) and on the rich
 //!   `PromJudgement` path (per-expert credibility/confidence bits);
-//! * **windowed reports are mode-independent**: a pooled and/or
-//!   double-buffered `DeploymentPipeline` produces byte-identical
+//! * **windowed reports are mode-independent**: a pooled
+//!   `DeploymentPipeline` produces byte-identical
 //!   `WindowReport`s — judgements, flagged/relabel indices, absorption
 //!   counts, calibration sizes — to the inline sequential pipeline,
 //!   ragged final window included;
@@ -21,15 +21,14 @@
 //! * **panic hygiene**: a panicking judgement inside a shard worker
 //!   surfaces on the caller thread (no deadlocked channel, no dead
 //!   worker, no half-judged window corrupting later ones);
-//! * **(proptest)** arbitrarily interleaved `push`/`flush` under
-//!   double-buffering judges every pushed sample exactly once, in input
-//!   order;
+//! * **(proptest)** arbitrarily interleaved `push`/`flush` at any shard
+//!   count judges every pushed sample exactly once, in input order;
 //! * **multi-detector fan-out changes nothing**: a `MultiPipeline` over N
 //!   detectors produces, per detector, byte-identical reports — and, in
 //!   online mode, bit-identical post-run calibration sets — to N
 //!   independent single-detector pipelines over the same stream, for both
-//!   selection policies, frozen and reservoir-online, double-buffered,
-//!   ragged tails included;
+//!   selection policies, frozen and reservoir-online, pooled, ragged
+//!   tails included;
 //! * **selection policies are what they claim**:
 //!   `SelectionPolicy::RejectVote` reproduces the PR 2–4 pipeline exactly
 //!   (manual `judge_batch` + `select_flagged` reference), and
@@ -263,12 +262,9 @@ fn run_frozen(
     stream: &[Sample],
     window: usize,
     shards: usize,
-    in_flight: usize,
 ) -> (Vec<WindowReport>, usize) {
-    let mut pipeline = DeploymentPipeline::new(
-        detector,
-        PipelineConfig { window, shards, in_flight, ..Default::default() },
-    );
+    let mut pipeline =
+        DeploymentPipeline::new(detector, PipelineConfig { window, shards, ..Default::default() });
     let mut reports = pipeline.extend(stream.iter().cloned());
     while let Some(report) = pipeline.flush() {
         reports.push(report);
@@ -289,18 +285,16 @@ fn frozen_pipeline_reports_are_identical_across_execution_modes() {
     let detectors: Vec<&dyn DriftDetector> = vec![&prom, &naive, &tesseract, &rise];
 
     for detector in detectors {
-        let (reference, judged) = run_frozen(detector, &stream, 16, 1, 0);
+        let (reference, judged) = run_frozen(detector, &stream, 16, 1);
         assert_eq!(judged, stream.len());
         for shards in shard_counts() {
-            for in_flight in [0, 1] {
-                let (candidate, judged) = run_frozen(detector, &stream, 16, shards, in_flight);
-                assert_eq!(judged, stream.len());
-                assert_reports_identical(
-                    &reference,
-                    &candidate,
-                    &format!("{} shards={shards} in_flight={in_flight}", detector.name()),
-                );
-            }
+            let (candidate, judged) = run_frozen(detector, &stream, 16, shards);
+            assert_eq!(judged, stream.len());
+            assert_reports_identical(
+                &reference,
+                &candidate,
+                &format!("{} shards={shards}", detector.name()),
+            );
         }
     }
 
@@ -311,9 +305,9 @@ fn frozen_pipeline_reports_are_identical_across_execution_modes() {
     )
     .unwrap();
     let stream = regression_stream(77);
-    let (reference, _) = run_frozen(&regressor, &stream, 16, 1, 0);
+    let (reference, _) = run_frozen(&regressor, &stream, 16, 1);
     for shards in shard_counts() {
-        let (candidate, _) = run_frozen(&regressor, &stream, 16, shards, 1);
+        let (candidate, _) = run_frozen(&regressor, &stream, 16, shards);
         assert_reports_identical(&reference, &candidate, &format!("regressor shards={shards}"));
     }
 }
@@ -325,7 +319,6 @@ fn run_online(
     detector: &mut dyn DriftDetector,
     stream: &[Sample],
     shards: usize,
-    in_flight: usize,
 ) -> Vec<WindowReport> {
     let mut pipeline = DeploymentPipeline::online(
         detector,
@@ -334,7 +327,6 @@ fn run_online(
             shards,
             budget: prom::core::incremental::RelabelBudget { fraction: 1.0, min_count: 1 },
             policy: CalibrationPolicy::Reservoir { cap: 9, seed: 7 },
-            in_flight,
             ..Default::default()
         },
         |global, _s| Some(Truth::Label(global % 3)),
@@ -363,16 +355,16 @@ fn online_reservoir_absorption_is_identical_across_modes_for_the_classifier() {
     let probes = classification_stream(20, 32);
 
     let mut reference = PromClassifier::new(records.clone(), PromConfig::default()).unwrap();
-    let reference_reports = run_online(&mut reference, &stream, 1, 0);
+    let reference_reports = run_online(&mut reference, &stream, 1);
     assert!(
         reference_reports.iter().map(|r| r.absorbed).sum::<usize>() > 9,
         "the stream must absorb past the reservoir cap to exercise replacement"
     );
 
-    for (shards, in_flight) in [(2, 0), (7, 1), (available_shards(), 1)] {
+    for shards in [2, 7, available_shards()] {
         let mut candidate = PromClassifier::new(records.clone(), PromConfig::default()).unwrap();
-        let candidate_reports = run_online(&mut candidate, &stream, shards, in_flight);
-        let context = format!("classifier shards={shards} in_flight={in_flight}");
+        let candidate_reports = run_online(&mut candidate, &stream, shards);
+        let context = format!("classifier shards={shards}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
 
         // The live calibration set itself ended up bit-identical: same
@@ -398,24 +390,24 @@ fn online_reservoir_absorption_is_identical_across_modes_for_table_baselines() {
 
     // NaiveCp.
     let mut reference = NaiveCp::new(&records, 0.1);
-    let reference_reports = run_online(&mut reference, &stream, 1, 0);
+    let reference_reports = run_online(&mut reference, &stream, 1);
     assert!(reference_reports.iter().map(|r| r.absorbed).sum::<usize>() > 9);
-    for (shards, in_flight) in [(2, 1), (7, 0), (available_shards(), 1)] {
+    for shards in [2, 7, available_shards()] {
         let mut candidate = NaiveCp::new(&records, 0.1);
-        let candidate_reports = run_online(&mut candidate, &stream, shards, in_flight);
-        let context = format!("naive-cp shards={shards} in_flight={in_flight}");
+        let candidate_reports = run_online(&mut candidate, &stream, shards);
+        let context = format!("naive-cp shards={shards}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
         assert_score_tables_identical(reference.score_table(), candidate.score_table(), &context);
     }
 
     // Tesseract.
     let mut reference = Tesseract::fit(&records, &validation, 3);
-    let reference_reports = run_online(&mut reference, &stream, 1, 0);
+    let reference_reports = run_online(&mut reference, &stream, 1);
     assert!(reference_reports.iter().map(|r| r.absorbed).sum::<usize>() > 9);
-    for (shards, in_flight) in [(2, 1), (available_shards(), 1)] {
+    for shards in [2, available_shards()] {
         let mut candidate = Tesseract::fit(&records, &validation, 3);
-        let candidate_reports = run_online(&mut candidate, &stream, shards, in_flight);
-        let context = format!("tesseract shards={shards} in_flight={in_flight}");
+        let candidate_reports = run_online(&mut candidate, &stream, shards);
+        let context = format!("tesseract shards={shards}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
         assert_score_tables_identical(reference.score_table(), candidate.score_table(), &context);
         assert_eq!(reference.thresholds(), candidate.thresholds(), "{context}");
@@ -423,11 +415,11 @@ fn online_reservoir_absorption_is_identical_across_modes_for_table_baselines() {
 
     // Rise.
     let mut reference = Rise::fit(&records, &validation, 0.1);
-    let reference_reports = run_online(&mut reference, &stream, 1, 0);
-    for (shards, in_flight) in [(2, 1), (available_shards(), 1)] {
+    let reference_reports = run_online(&mut reference, &stream, 1);
+    for shards in [2, available_shards()] {
         let mut candidate = Rise::fit(&records, &validation, 0.1);
-        let candidate_reports = run_online(&mut candidate, &stream, shards, in_flight);
-        let context = format!("rise shards={shards} in_flight={in_flight}");
+        let candidate_reports = run_online(&mut candidate, &stream, shards);
+        let context = format!("rise shards={shards}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
         assert_score_tables_identical(reference.score_table(), candidate.score_table(), &context);
     }
@@ -440,7 +432,7 @@ fn online_reservoir_absorption_is_identical_across_modes_for_the_regressor() {
     let probes = regression_stream(25);
     let config = PromRegressorConfig { clusters: ClusterChoice::Fixed(4), ..Default::default() };
 
-    let run = |detector: &mut PromRegressor, shards: usize, in_flight: usize| {
+    let run = |detector: &mut PromRegressor, shards: usize| {
         let mut pipeline = DeploymentPipeline::online(
             detector,
             PipelineConfig {
@@ -448,7 +440,6 @@ fn online_reservoir_absorption_is_identical_across_modes_for_the_regressor() {
                 shards,
                 budget: prom::core::incremental::RelabelBudget { fraction: 1.0, min_count: 1 },
                 policy: CalibrationPolicy::Reservoir { cap: 9, seed: 3 },
-                in_flight,
                 ..Default::default()
             },
             // The expert measures the true target of the drifted stream.
@@ -462,13 +453,13 @@ fn online_reservoir_absorption_is_identical_across_modes_for_the_regressor() {
     };
 
     let mut reference = PromRegressor::new(records.clone(), config.clone()).unwrap();
-    let reference_reports = run(&mut reference, 1, 0);
+    let reference_reports = run(&mut reference, 1);
     assert!(reference_reports.iter().map(|r| r.absorbed).sum::<usize>() > 9);
 
-    for (shards, in_flight) in [(2, 1), (available_shards(), 1)] {
+    for shards in [2, available_shards()] {
         let mut candidate = PromRegressor::new(records.clone(), config.clone()).unwrap();
-        let candidate_reports = run(&mut candidate, shards, in_flight);
-        let context = format!("regressor shards={shards} in_flight={in_flight}");
+        let candidate_reports = run(&mut candidate, shards);
+        let context = format!("regressor shards={shards}");
         assert_reports_identical(&reference_reports, &candidate_reports, &context);
         assert_eq!(reference.calibration_len(), candidate.calibration_len(), "{context}");
         let ja = reference.judge_batch(&probes);
@@ -539,17 +530,18 @@ fn pipeline_survives_a_panicking_window_and_keeps_judging() {
     let det = Poisonable;
     let mut pipeline = DeploymentPipeline::new(
         &det,
-        PipelineConfig { window: 8, shards: 3, in_flight: 1, ..Default::default() },
+        PipelineConfig { window: 8, shards: 3, ..Default::default() },
     );
     let mut stream = plain_stream(8);
     stream[3].embedding[0] = f64::NAN;
+    let last = stream.pop().expect("eight samples");
     for s in stream {
-        assert!(pipeline.push(s).is_none(), "window 0 is only submitted");
+        assert!(pipeline.push(s).is_none(), "window 0 is still filling");
     }
-    // Collecting the poisoned window re-raises the worker panic here, on
+    // Judging the poisoned window re-raises the worker panic here, on
     // the caller thread — not a hang, not a truncated report.
-    let err = std::panic::catch_unwind(AssertUnwindSafe(|| pipeline.flush()))
-        .expect_err("flush must surface the shard panic");
+    let err = std::panic::catch_unwind(AssertUnwindSafe(|| pipeline.push(last)))
+        .expect_err("the push that fills the window must surface the shard panic");
     drop(err);
 
     // The pipeline (and its pool) remain usable: later windows report
@@ -570,8 +562,8 @@ fn pipeline_survives_a_panicking_window_and_keeps_judging() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Under double-buffering, any interleaving of `push` and `flush`
-    /// judges every pushed sample exactly once, in input order, across
+    /// At any shard count, any interleaving of `push` and `flush` judges
+    /// every pushed sample exactly once, in input order, across
     /// contiguous windows.
     #[test]
     fn interleaved_push_flush_judges_every_sample_exactly_once_in_order(
@@ -582,7 +574,7 @@ proptest! {
         let det = Poisonable;
         let mut pipeline = DeploymentPipeline::new(
             &det,
-            PipelineConfig { window, shards, in_flight: 1, ..Default::default() },
+            PipelineConfig { window, shards, ..Default::default() },
         );
         let mut pushed: Vec<Sample> = Vec::new();
         let mut reports: Vec<WindowReport> = Vec::new();
@@ -595,8 +587,8 @@ proptest! {
                 pushed.push(sample.clone());
                 reports.extend(pipeline.push(sample));
             } else {
-                // Mid-stream flush: drains the in-flight window or the
-                // partial buffer (one report per call, in window order).
+                // Mid-stream flush: judges the partial buffer, if any, as
+                // its own window.
                 reports.extend(pipeline.flush());
             }
         }
@@ -675,16 +667,13 @@ fn multi_pipeline_matches_independent_pipelines_for_all_detectors_frozen() {
     let detectors: Vec<&dyn DriftDetector> = vec![&prom, &naive, &tesseract, &rise];
 
     for selection in [SelectionPolicy::RejectVote, SelectionPolicy::CredibilityRank] {
-        for (shards, in_flight) in [(1, 0), (7, 0), (2, 1), (available_shards(), 1)] {
-            let config =
-                PipelineConfig { window: 16, shards, selection, in_flight, ..Default::default() };
+        for shards in [1, 7, 2, available_shards()] {
+            let config = PipelineConfig { window: 16, shards, selection, ..Default::default() };
             let multi = run_multi(detectors.clone(), &stream, config);
             assert_eq!(multi.len(), stream.len().div_ceil(16));
             for (d, detector) in detectors.iter().enumerate() {
-                let context = format!(
-                    "{} d={d} sel={selection:?} shards={shards} in_flight={in_flight}",
-                    detector.name()
-                );
+                let context =
+                    format!("{} d={d} sel={selection:?} shards={shards}", detector.name());
                 let single = run_single(*detector, &stream, config);
                 assert_reports_identical(&single, &detector_reports(&multi, d), &context);
             }
@@ -706,7 +695,7 @@ fn multi_pipeline_matches_independent_pipelines_for_the_regressor() {
     let detectors: Vec<&dyn DriftDetector> = vec![&a, &b];
     for selection in [SelectionPolicy::RejectVote, SelectionPolicy::CredibilityRank] {
         let pipeline_config =
-            PipelineConfig { window: 16, shards: 7, selection, in_flight: 1, ..Default::default() };
+            PipelineConfig { window: 16, shards: 7, selection, ..Default::default() };
         let multi = run_multi(detectors.clone(), &stream, pipeline_config);
         for (d, detector) in detectors.iter().enumerate() {
             let single = run_single(*detector, &stream, pipeline_config);
@@ -731,7 +720,6 @@ fn run_single_online(
             budget: RelabelBudget { fraction: 1.0, min_count: 1 },
             selection,
             policy: CalibrationPolicy::Reservoir { cap: 9, seed: 7 },
-            in_flight: 1,
             ..Default::default()
         },
         |global, _s| Some(Truth::Label(global % 3)),
@@ -777,7 +765,6 @@ fn multi_pipeline_online_reservoir_matches_independent_pipelines() {
                 budget: RelabelBudget { fraction: 1.0, min_count: 1 },
                 selection,
                 policy: CalibrationPolicy::Reservoir { cap: 9, seed: 7 },
-                in_flight: 1,
                 ..Default::default()
             },
             |global, _s| Some(Truth::Label(global % 3)),
@@ -849,7 +836,7 @@ fn multi_shared_budget_absorbs_identically_across_execution_modes() {
     let records = classification_records(100, 91);
     let stream = classification_stream(120, 91);
 
-    let run = |shards: usize, in_flight: usize| {
+    let run = |shards: usize| {
         let mut prom_a = PromClassifier::new(records.clone(), PromConfig::default()).unwrap();
         let mut prom_b = PromClassifier::new(
             records.clone(),
@@ -864,7 +851,6 @@ fn multi_shared_budget_absorbs_identically_across_execution_modes() {
                 budget: RelabelBudget { fraction: 0.5, min_count: 1 },
                 selection: SelectionPolicy::CredibilityRank,
                 policy: CalibrationPolicy::Reservoir { cap: 9, seed: 5 },
-                in_flight,
                 ..Default::default()
             },
             |global, _s| Some(Truth::Label(global % 3)),
@@ -878,7 +864,7 @@ fn multi_shared_budget_absorbs_identically_across_execution_modes() {
         (reports, prom_a.calibration_len(), prom_b.calibration_len())
     };
 
-    let (reference, ref_a, ref_b) = run(1, 0);
+    let (reference, ref_a, ref_b) = run(1);
     // The shared pick set is detector 0's selection, mirrored into every
     // detector's report.
     let mut any_picks = false;
@@ -897,9 +883,9 @@ fn multi_shared_budget_absorbs_identically_across_execution_modes() {
     assert!(any_picks, "the stream must select something");
 
     // And the whole shared-budget run is execution-mode independent.
-    for (shards, in_flight) in [(7, 0), (2, 1), (available_shards(), 1)] {
-        let (candidate, cand_a, cand_b) = run(shards, in_flight);
-        let context = format!("shared-budget shards={shards} in_flight={in_flight}");
+    for shards in [7, 2, available_shards()] {
+        let (candidate, cand_a, cand_b) = run(shards);
+        let context = format!("shared-budget shards={shards}");
         assert_eq!(reference.len(), candidate.len(), "{context}");
         for (r, c) in reference.iter().zip(candidate.iter()) {
             for (d, (a, b)) in r.reports.iter().zip(c.reports.iter()).enumerate() {
@@ -912,44 +898,4 @@ fn multi_shared_budget_absorbs_identically_across_execution_modes() {
         }
         assert_eq!((ref_a, ref_b), (cand_a, cand_b), "{context}");
     }
-}
-
-#[test]
-fn multi_pipeline_double_buffering_reports_one_window_late_in_order() {
-    let records = classification_records(90, 95);
-    let prom = PromClassifier::new(records.clone(), PromConfig::default()).unwrap();
-    let naive = NaiveCp::new(&records, 0.1);
-    let mut pipeline = MultiPipeline::new(
-        vec![&prom, &naive],
-        PipelineConfig { window: 4, shards: 2, in_flight: 1, ..Default::default() },
-    );
-    let stream = classification_stream(10, 95);
-    let mut samples = stream.iter().cloned();
-    for _ in 0..3 {
-        assert!(pipeline.push(samples.next().unwrap()).is_none());
-    }
-    // Filling window 0 only submits it — for BOTH detectors.
-    assert!(pipeline.push(samples.next().unwrap()).is_none());
-    assert_eq!(pipeline.pending(), 4, "window 0 is in flight");
-    for _ in 0..3 {
-        assert!(pipeline.push(samples.next().unwrap()).is_none());
-    }
-    // Filling window 1 returns window 0's report set.
-    let report = pipeline.push(samples.next().unwrap()).expect("window 0 reports");
-    assert_eq!(report.index, 0);
-    assert_eq!(report.start, 0);
-    assert_eq!(report.reports.len(), 2);
-    assert!(report.reports.iter().all(|r| (r.index, r.start) == (0, 0)));
-    // Draining: window 1 first, then the 2-sample tail, then the no-op.
-    pipeline.extend(samples);
-    let w1 = pipeline.flush().expect("window 1 reports");
-    assert_eq!(w1.index, 1);
-    assert_eq!(w1.start, 4);
-    let tail = pipeline.flush().expect("tail reports");
-    assert_eq!(tail.index, 2);
-    assert_eq!(tail.start, 8);
-    assert!(tail.reports.iter().all(|r| r.judgements.len() == 2));
-    assert!(pipeline.flush().is_none());
-    let stats = pipeline.stats();
-    assert!(stats.iter().all(|s| s.judged == 10 && s.windows == 3));
 }

@@ -24,9 +24,6 @@
 //! * **multi-detector serving**: `serve_multi` over N detectors replays
 //!   bit-identically through a synchronous `MultiPipeline`, per
 //!   detector;
-//! * **in-flight depth changes nothing**: serving over `in_flight` ∈
-//!   {2, 4} (frozen) reports exactly what the depth-1 synchronous replay
-//!   reports;
 //! * **(proptest)** for arbitrary window/queue/producer/stream-length
 //!   combinations, every submitted sample is judged exactly once, the
 //!   reports tile the admitted order contiguously, and the stitched
@@ -196,30 +193,26 @@ fn frozen_serving_replays_bit_identically_across_producer_counts() {
 
     for detector in detectors {
         for producers in producer_counts() {
-            for in_flight in [0, 1] {
-                let config =
-                    PipelineConfig { window: 16, shards: 2, in_flight, ..Default::default() };
-                let front = ServingFrontEnd::new(ServingConfig {
-                    pipeline: config,
-                    queue: 8, // smaller than the stream: exercises backpressure
-                    record_admitted: true,
-                    metrics: None,
-                });
-                let ((), outcome) =
-                    front.serve(detector, |handle| race_producers(handle, &stream, producers));
-                let context =
-                    format!("{} producers={producers} in_flight={in_flight}", detector.name());
-                assert_outcome_accounted(&outcome, stream.len(), &context);
-                assert_admitted_is_a_permutation(&outcome.admitted_samples, &stream, &context);
-                if producers == 1 {
-                    // One producer: the admitted order IS the submission
-                    // order — the front-end is deterministic end-to-end.
-                    let sync = replay_frozen(detector, &stream, config);
-                    assert_reports_identical(&sync, &outcome.reports, &context);
-                }
-                let replayed = replay_frozen(detector, &outcome.admitted_samples, config);
-                assert_reports_identical(&replayed, &outcome.reports, &context);
+            let config = PipelineConfig { window: 16, shards: 2, ..Default::default() };
+            let front = ServingFrontEnd::new(ServingConfig {
+                pipeline: config,
+                queue: 8, // smaller than the stream: exercises backpressure
+                record_admitted: true,
+                metrics: None,
+            });
+            let ((), outcome) =
+                front.serve(detector, |handle| race_producers(handle, &stream, producers));
+            let context = format!("{} producers={producers}", detector.name());
+            assert_outcome_accounted(&outcome, stream.len(), &context);
+            assert_admitted_is_a_permutation(&outcome.admitted_samples, &stream, &context);
+            if producers == 1 {
+                // One producer: the admitted order IS the submission
+                // order — the front-end is deterministic end-to-end.
+                let sync = replay_frozen(detector, &stream, config);
+                assert_reports_identical(&sync, &outcome.reports, &context);
             }
+            let replayed = replay_frozen(detector, &outcome.admitted_samples, config);
+            assert_reports_identical(&replayed, &outcome.reports, &context);
         }
     }
 }
@@ -250,7 +243,6 @@ fn online_reservoir_serving_replays_reports_and_calibration_bit_identically() {
         shards: 2,
         budget: RelabelBudget { fraction: 1.0, min_count: 1 },
         policy: CalibrationPolicy::Reservoir { cap: 9, seed: 7 },
-        in_flight: 1,
         ..Default::default()
     };
 
@@ -324,7 +316,7 @@ fn multi_detector_serving_replays_bit_identically() {
     let stream = classification_stream(90, 221);
     let prom = PromClassifier::new(records.clone(), PromConfig::default()).unwrap();
     let naive = NaiveCp::new(&records, 0.1);
-    let config = PipelineConfig { window: 16, shards: 2, in_flight: 1, ..Default::default() };
+    let config = PipelineConfig { window: 16, shards: 2, ..Default::default() };
 
     for producers in producer_counts() {
         let context = format!("multi producers={producers}");
@@ -351,40 +343,6 @@ fn multi_detector_serving_replays_bit_identically() {
                 outcome.reports.iter().map(|m| m.reports[d].clone()).collect();
             let replay: Vec<WindowReport> = replayed.iter().map(|m| m.reports[d].clone()).collect();
             assert_reports_identical(&replay, &served, &format!("{context} d={d}"));
-        }
-    }
-}
-
-#[test]
-fn deeper_in_flight_serving_queues_change_nothing_but_timing() {
-    let records = classification_records(200, 231);
-    let stream = classification_stream(101, 231);
-    let prom = PromClassifier::new(records, PromConfig::default()).unwrap();
-
-    for depth in [2, 4] {
-        for producers in [1, available_shards().max(3)] {
-            let config =
-                PipelineConfig { window: 16, shards: 2, in_flight: depth, ..Default::default() };
-            let front = ServingFrontEnd::new(ServingConfig {
-                pipeline: config,
-                queue: 8,
-                record_admitted: true,
-                metrics: None,
-            });
-            let ((), outcome) =
-                front.serve(&prom, |handle| race_producers(handle, &stream, producers));
-            let context = format!("depth={depth} producers={producers}");
-            assert_outcome_accounted(&outcome, stream.len(), &context);
-
-            // The depth-1 synchronous replay is the reference: a deeper
-            // in-flight queue may only change when reports *arrive*,
-            // never what they say.
-            let reference = replay_frozen(
-                &prom,
-                &outcome.admitted_samples,
-                PipelineConfig { in_flight: 1, ..config },
-            );
-            assert_reports_identical(&reference, &outcome.reports, &context);
         }
     }
 }
@@ -426,11 +384,10 @@ proptest! {
         queue in 1usize..9,
         producers in 1usize..4,
         shards in 1usize..4,
-        in_flight in 0usize..2,
     ) {
         let det = Threshold;
         let stream = plain_stream(n);
-        let config = PipelineConfig { window, shards, in_flight, ..Default::default() };
+        let config = PipelineConfig { window, shards, ..Default::default() };
         let front = ServingFrontEnd::new(ServingConfig {
             pipeline: config,
             queue,
