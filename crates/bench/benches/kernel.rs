@@ -9,9 +9,10 @@
 //!   calibration distance pass at 1k/10k/100k records × 8/64 dims;
 //! * `distance_scalar_8q/*` vs `distance_block_8q/*` — the same pass in
 //!   the batched serving shape (8 window samples per store stream, as
-//!   `judge_batch` runs it), the PR's ≥ 2× acceptance gate at 100k;
-//! * `knn/*` — `k_nearest_flat` (partition + k-prefix sort) over the
-//!   same stores;
+//!   `judge_batch` runs it); the blocked pass is `l2_distances_sq_lanes`
+//!   over the lane-grouped store `ScoringKernel` keeps;
+//! * `knn/*` — `ScoringKernel::k_nearest` (lane pass + insertion select)
+//!   over the same stores;
 //! * `select/*` — the end-to-end `ScoringKernel::select` plus the Eq. 2
 //!   p-value pass it feeds, at 100k records, on the partition path
 //!   (keep 50%) and the norm-bound pruned filtered scan (keep 10%).
@@ -20,8 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use prom_core::calibration::SelectionConfig;
 use prom_core::scoring::{JudgeScratch, ScoringKernel};
-use prom_ml::knn::k_nearest_flat;
-use prom_ml::matrix::{l2_distance_sq, l2_distances_sq_block};
+use prom_ml::matrix::{l2_distance_sq, l2_distances_sq_lanes, lane_groups};
 
 const SIZES: [(usize, &str); 3] = [(1_000, "1k"), (10_000, "10k"), (100_000, "100k")];
 const DIMS: [usize; 2] = [8, 64];
@@ -88,11 +88,11 @@ fn bench_kernel(c: &mut Criterion) {
             // The batched serving shape: a block of 8 window samples
             // judged against the same store. The scalar baseline streams
             // the store once per query (the only option with per-query
-            // passes); the blocked pass streams it once per block
-            // (`l2_distances_sq_block`), which is the PR's >= 2x
-            // acceptance gate at 100k — the single-query passes above are
-            // memory-bound there, so the headroom is in store-traffic
-            // amortization, not arithmetic.
+            // passes); the blocked pass streams the lane-grouped store
+            // once per block (`l2_distances_sq_lanes`) — the single-query
+            // passes above are memory-bound at 100k, so the headroom is in
+            // store-traffic amortization and in running records across
+            // the vector lanes.
             let queries: Vec<f64> = (0..8)
                 .flat_map(|j| {
                     let mut one = query(dim);
@@ -115,15 +115,22 @@ fn bench_kernel(c: &mut Criterion) {
                 })
             });
 
+            let lanes = lane_groups(&flat, dim);
             group.bench_function(format!("distance_block_8q/{tag}x{dim}"), |b| {
                 b.iter(|| {
-                    l2_distances_sq_block(&flat, dim, &queries, &mut out8);
+                    l2_distances_sq_lanes(&lanes, dim, n, &queries, &mut out8);
                     std::hint::black_box(&mut out8);
                 })
             });
 
+            let kernel =
+                ScoringKernel::new(rows, vec![0; n], 1, Vec::new(), SelectionConfig::default());
+            let mut neighbours = Vec::new();
             group.bench_function(format!("knn/{tag}x{dim}"), |b| {
-                b.iter(|| std::hint::black_box(k_nearest_flat(&flat, dim, &q, 3)))
+                b.iter(|| {
+                    kernel.k_nearest(&q, 3, &mut neighbours);
+                    std::hint::black_box(&mut neighbours);
+                })
             });
         }
     }

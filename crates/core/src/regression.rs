@@ -9,7 +9,6 @@
 //! proxy.
 
 use prom_ml::cluster::{gap_statistic_k, KMeans};
-use prom_ml::knn::k_nearest_flat;
 
 use crate::calibration::SelectionConfig;
 use crate::committee::{
@@ -295,12 +294,8 @@ impl PromRegressor {
     /// Approximates the deployment-time ground truth of a test input as the
     /// mean target of its `knn_k` nearest calibration samples (Sec. 5.1.1).
     pub fn approximate_target(&self, embedding: &[f64]) -> f64 {
-        let neighbours = k_nearest_flat(
-            self.kernel.embeddings_flat(),
-            self.kernel.dim(),
-            embedding,
-            self.config.knn_k,
-        );
+        let mut neighbours = Vec::new();
+        self.kernel.k_nearest(embedding, self.config.knn_k, &mut neighbours);
         neighbours.iter().map(|&i| self.records[i].target).sum::<f64>() / neighbours.len() as f64
     }
 

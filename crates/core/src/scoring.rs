@@ -22,7 +22,9 @@
 
 use crate::calibration::{CalibrationRecord, SelectionConfig};
 use crate::nonconformity::Nonconformity;
-use prom_ml::matrix::{l2_distance_sq, l2_distance_sq_bounded, l2_distances_sq_block, l2_norm_sq};
+use prom_ml::matrix::{
+    l2_distance_sq_bounded, l2_distances_sq_lanes, l2_norm_sq, lane_offset, LANE_GROUP,
+};
 
 /// Per-label calibration nonconformity scores, sorted ascending at
 /// construction for binary-search p-values.
@@ -288,19 +290,22 @@ impl JudgeScratch {
 /// freely shared across threads while each stream judges with its own
 /// [`JudgeScratch`].
 ///
-/// Calibration embeddings live in a contiguous row-major store (`n_records
-/// × dim` values), not a `Vec<Vec<f64>>`: the distance pass — the hot loop
-/// of every judgement — streams cache lines sequentially instead of
-/// pointer-chasing per-record heap allocations, which is what lets the
-/// chunked [`l2_distance_sq`] kernel run at memory bandwidth. Per-record l2
-/// norms are precomputed alongside (and maintained by
-/// [`ScoringKernel::insert`] / [`ScoringKernel::replace`]) to power the
-/// triangle-inequality pruning bound of the selective path.
+/// Calibration embeddings live in one lane-grouped store, not a
+/// `Vec<Vec<f64>>`: group `g` holds records `8g..8g+8` dimension-major, so
+/// value `d` of record `8g + r` sits at `(g·dim + d)·8 + r`, and the last
+/// group is zero-padded. Every distance pass — the hot loop of every
+/// judgement — runs [`l2_distances_sq_lanes`] over it, which puts records
+/// across the vector lanes and streams the store sequentially; each value
+/// is bit-identical to the per-pair `prom_ml::matrix::l2_distance_sq`.
+/// Per-record l2 norms are precomputed alongside (and maintained by
+/// [`ScoringKernel::insert`] / [`ScoringKernel::replace`] /
+/// [`ScoringKernel::remove`]) to power the triangle-inequality pruning
+/// bound of the selective path.
 #[derive(Debug)]
 pub struct ScoringKernel {
-    /// Row-major contiguous embedding store: record `i` occupies
-    /// `store[i * dim..(i + 1) * dim]`.
-    store: Vec<f64>,
+    /// Lane-grouped embedding store: value `d` of record `i` sits at
+    /// `lane_offset(i, d, dim)`; lanes past `n_records()` are zero.
+    lanes: Vec<f64>,
     /// Embedding dimensionality (fixed at construction).
     dim: usize,
     /// Per-record l2 norms `‖e_i‖`, for the `|‖e‖ − ‖q‖|` lower bound.
@@ -335,13 +340,15 @@ impl ScoringKernel {
         }
         let dim = embeddings[0].len();
         assert!(dim > 0, "empty calibration embedding");
-        let mut store = Vec::with_capacity(embeddings.len() * dim);
-        for e in &embeddings {
+        let mut lanes = vec![0.0; embeddings.len().div_ceil(LANE_GROUP) * dim * LANE_GROUP];
+        for (i, e) in embeddings.iter().enumerate() {
             assert_eq!(e.len(), dim, "embedding length mismatch");
-            store.extend_from_slice(e);
+            for (d, &x) in e.iter().enumerate() {
+                lanes[lane_offset(i, d, dim)] = x;
+            }
         }
-        let norms = store.chunks_exact(dim).map(|row| l2_norm_sq(row).sqrt()).collect();
-        Self { store, dim, norms, labels, n_labels, cal_scores, selection }
+        let norms = embeddings.iter().map(|e| l2_norm_sq(e).sqrt()).collect();
+        Self { lanes, dim, norms, labels, n_labels, cal_scores, selection }
     }
 
     /// Number of calibration records.
@@ -364,20 +371,22 @@ impl ScoringKernel {
         self.cal_scores.len()
     }
 
-    /// Borrows the contiguous row-major embedding store (`n_records() *
-    /// dim()` values) — pair with [`ScoringKernel::dim`] for flat k-NN
-    /// lookups (`prom_ml::knn::k_nearest_flat`).
-    pub fn embeddings_flat(&self) -> &[f64] {
-        &self.store
-    }
-
-    /// Borrows calibration embedding `index`.
+    /// Copies calibration embedding `index` out of the lane-grouped store.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range index.
-    pub fn embedding(&self, index: usize) -> &[f64] {
-        &self.store[index * self.dim..(index + 1) * self.dim]
+    pub fn embedding(&self, index: usize) -> Vec<f64> {
+        assert!(index < self.labels.len(), "record index {index} out of range");
+        (0..self.dim).map(|d| self.lanes[lane_offset(index, d, self.dim)]).collect()
+    }
+
+    /// Writes `embedding` into record `index`'s lane — `O(dim)` strided
+    /// stores.
+    fn write_lane(&mut self, index: usize, embedding: &[f64]) {
+        for (d, &x) in embedding.iter().enumerate() {
+            self.lanes[lane_offset(index, d, self.dim)] = x;
+        }
     }
 
     /// Borrows the calibration labels.
@@ -386,7 +395,7 @@ impl ScoringKernel {
     }
 
     /// Appends one calibration record: its embedding, (pseudo-)label, and
-    /// one precomputed nonconformity score per expert. `O(1)` amortized —
+    /// one precomputed nonconformity score per expert. `O(dim)` amortized —
     /// the kernel keeps no distance-dependent state, so growth needs no
     /// refit, and judgements afterwards are **bit-identical** to a kernel
     /// rebuilt from scratch with the record appended to the same
@@ -405,13 +414,17 @@ impl ScoringKernel {
             table.push(score);
         }
         self.norms.push(l2_norm_sq(&embedding).sqrt());
-        self.store.extend_from_slice(&embedding);
+        let index = self.labels.len();
+        if index.is_multiple_of(LANE_GROUP) {
+            self.lanes.resize(self.lanes.len() + self.dim * LANE_GROUP, 0.0);
+        }
+        self.write_lane(index, &embedding);
         self.labels.push(label);
     }
 
-    /// Overwrites calibration record `index` in place — the `O(1)` eviction
-    /// path of a capped reservoir calibration set. The record keeps its
-    /// index, so tie-breaking stays well-defined.
+    /// Overwrites calibration record `index` in place — the `O(dim)`
+    /// eviction path of a capped reservoir calibration set. The record
+    /// keeps its index, so tie-breaking stays well-defined.
     ///
     /// # Panics
     ///
@@ -426,7 +439,7 @@ impl ScoringKernel {
             table[index] = score;
         }
         self.norms[index] = l2_norm_sq(&embedding).sqrt();
-        self.store[index * self.dim..(index + 1) * self.dim].copy_from_slice(&embedding);
+        self.write_lane(index, &embedding);
         self.labels[index] = label;
     }
 
@@ -437,9 +450,11 @@ impl ScoringKernel {
     /// refit* on the surviving records: `select` breaks distance ties by
     /// record index, and after the shift the surviving records hold exactly
     /// the indices they would get if a fresh kernel were built from the
-    /// surviving sequence in order. `O(n)` in records (a contiguous
-    /// `memmove` of the store), which eviction amortizes over a full
-    /// absorb window.
+    /// surviving sequence in order. `O(n · dim)` (every later lane moves
+    /// down one slot, a short in-row move per group row plus one carried
+    /// value from the next group), which eviction amortizes over a full
+    /// absorb window. The vacated last lane is zeroed, and a group left
+    /// empty is dropped, so the store equals a from-scratch rebuild.
     ///
     /// # Panics
     ///
@@ -454,7 +469,24 @@ impl ScoringKernel {
         }
         self.norms.remove(index);
         self.labels.remove(index);
-        self.store.drain(index * self.dim..(index + 1) * self.dim);
+        // Every row (one dimension of one group) from `index`'s group on
+        // moves its lanes down one slot and takes the same dimension's
+        // first lane from the next group; the last group takes a zero.
+        let group_len = self.dim * LANE_GROUP;
+        let first_group = (index / LANE_GROUP) * group_len..(index / LANE_GROUP + 1) * group_len;
+        for row in (first_group.start..self.lanes.len()).step_by(LANE_GROUP) {
+            let carry = self.lanes.get(row + group_len).copied().unwrap_or(0.0);
+            let lanes = &mut self.lanes[row..row + LANE_GROUP];
+            if first_group.contains(&row) {
+                lanes.copy_within(index % LANE_GROUP + 1.., index % LANE_GROUP);
+            } else {
+                // A constant-length move, which compiles to plain loads
+                // and stores instead of a `memmove` call per row.
+                lanes.copy_within(1.., 0);
+            }
+            lanes[LANE_GROUP - 1] = carry;
+        }
+        self.lanes.truncate((n - 1).div_ceil(LANE_GROUP) * group_len);
     }
 
     /// Borrows expert `expert`'s precomputed nonconformity scores, one per
@@ -469,7 +501,7 @@ impl ScoringKernel {
 
     /// Runs the Eq. 1 selection for one test embedding into `scratch`:
     /// computes calibration distances (one streaming pass over the
-    /// contiguous store, reused buffer), keeps the nearest fraction per
+    /// lane-grouped store, reused buffer), keeps the nearest fraction per
     /// [`SelectionConfig`], weights the kept records by `exp(-d / tau)`,
     /// and groups them by label for the p-value pass.
     ///
@@ -496,44 +528,41 @@ impl ScoringKernel {
     /// store is uniform by construction).
     pub fn select(&self, test_embedding: &[f64], scratch: &mut JudgeScratch) {
         assert_eq!(self.dim, test_embedding.len(), "embedding length mismatch");
-        let n = self.labels.len();
         let keep = self.keep_count();
         // Keep the query: `nearest` may need distances the pruned path
         // never materialized.
         scratch.query.clear();
         scratch.query.extend_from_slice(test_embedding);
         scratch.dist.clear();
-
         if self.uses_pruned_path() {
             self.select_pruned(test_embedding, keep, scratch);
         } else {
-            scratch.dist.extend(self.store.chunks_exact(self.dim).enumerate().map(|(i, e)| {
-                let d2 = l2_distance_sq(e, test_embedding);
-                // A NaN distance (the *test* embedding diverged —
-                // calibration embeddings are validated NaN-free at record
-                // construction) means the pair conforms to nothing: treat
-                // it as infinitely far, so its Eq. 1 weight is exactly 0
-                // and the judgement stays *defined* instead of panicking in
-                // the serving path. Every strictly positive test score then
-                // gets p = 0; a test score of exactly 0 (a maximally
-                // conforming output) still ties as `0 >= 0`, matching the
-                // reference path's tie rule.
-                let d2 = if d2.is_nan() { f64::INFINITY } else { d2 };
-                (d2, i as u32)
-            }));
-            if keep < n {
-                // P-values are counts over the selected *set* — order
-                // within it is irrelevant — so an O(n) partition replaces a
-                // full sort. Ties break by record index so the kept set is
-                // well-defined even with duplicate embeddings at the
-                // boundary.
-                scratch.dist.select_nth_unstable_by(keep - 1, |a, b| {
-                    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-                });
-            }
+            scratch.dist.extend(self.distances(test_embedding));
+            partition_kept(&mut scratch.dist, keep);
         }
-
         self.finish_selection(keep, scratch);
+    }
+
+    /// `(d², index)` for every record against `query`, one [`BATCH`] of
+    /// records per lane pass, with a NaN distance ranked as `+inf`
+    /// ([`nan_to_inf`]).
+    fn distances<'a>(&'a self, query: &'a [f64]) -> impl Iterator<Item = (f64, u32)> + 'a {
+        (0..self.labels.len().div_ceil(BATCH)).flat_map(move |b| {
+            let mut d2 = [0.0f64; BATCH];
+            let valid = self.batch_distances(b, query, &mut d2);
+            (0..valid).map(move |r| (nan_to_inf(d2[r]), (b * BATCH + r) as u32))
+        })
+    }
+
+    /// Squared distances from records `b · BATCH..` (at most [`BATCH`]) to
+    /// `query` into `out`, by one lane pass; returns how many records.
+    fn batch_distances(&self, b: usize, query: &[f64], out: &mut [f64; BATCH]) -> usize {
+        let base = b * BATCH;
+        let valid = (self.labels.len() - base).min(BATCH);
+        let end = (base + valid).div_ceil(LANE_GROUP) * LANE_GROUP;
+        let lanes = &self.lanes[base * self.dim..end * self.dim];
+        l2_distances_sq_lanes(lanes, self.dim, valid, query, &mut out[..valid]);
+        valid
     }
 
     /// How many records the Eq. 1 selection keeps for the current
@@ -584,8 +613,8 @@ impl ScoringKernel {
 
     /// Fills `scratch` with the squared-distance block for a batch of
     /// queries: `queries.len()` rows of `n_records()` raw squared distances
-    /// each, computed by one blocked streaming pass over the store
-    /// ([`l2_distances_sq_block`]) instead of one full stream per query.
+    /// each, computed by one streaming pass over the lane-grouped store
+    /// ([`l2_distances_sq_lanes`]) instead of one full stream per query.
     /// Pair with [`ScoringKernel::select_from_block`] per query. Only
     /// worthwhile on the partition path (check
     /// [`ScoringKernel::uses_pruned_path`] first — the pruned path exists
@@ -601,16 +630,16 @@ impl ScoringKernel {
             scratch.block_queries.extend_from_slice(query);
         }
         scratch.block.clear();
-        scratch.block.resize(self.labels.len() * queries.len(), 0.0);
-        l2_distances_sq_block(&self.store, self.dim, &scratch.block_queries, &mut scratch.block);
+        let n = self.labels.len();
+        scratch.block.resize(n * queries.len(), 0.0);
+        l2_distances_sq_lanes(&self.lanes, self.dim, n, &scratch.block_queries, &mut scratch.block);
     }
 
     /// Runs the Eq. 1 selection for query `j` of the block last passed to
     /// [`ScoringKernel::distance_block`], **bit-identical** to
-    /// [`ScoringKernel::select`] on the same embedding: the blocked pass
-    /// computes each pair through the same summation kernel, and the
-    /// NaN mapping, partition, tie rule, and weighting here mirror the
-    /// partition path line for line.
+    /// [`ScoringKernel::select`] on the same embedding: the lane pass gives
+    /// each record the same bits with one query or eight, and the NaN
+    /// mapping, partition and weighting are `select`'s own.
     ///
     /// # Panics
     ///
@@ -624,21 +653,13 @@ impl ScoringKernel {
         scratch.query.extend_from_slice(test_embedding);
         scratch.dist.clear();
         let row = &scratch.block[j * n..(j + 1) * n];
-        scratch.dist.extend(row.iter().enumerate().map(|(i, &d2)| {
-            // Same NaN-is-infinitely-far rule as `select`.
-            let d2 = if d2.is_nan() { f64::INFINITY } else { d2 };
-            (d2, i as u32)
-        }));
-        if keep < n {
-            scratch
-                .dist
-                .select_nth_unstable_by(keep - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
+        scratch.dist.extend(row.iter().enumerate().map(|(i, &d2)| (nan_to_inf(d2), i as u32)));
+        partition_kept(&mut scratch.dist, keep);
         self.finish_selection(keep, scratch);
     }
 
-    /// The pruned selective pass: a filtered scan over the store that keeps
-    /// a small candidate buffer and a provable upper bound `est` on the
+    /// The pruned selective pass: a filtered scan over the records that
+    /// keeps a small candidate buffer and a provable upper bound `est` on the
     /// final selection threshold (the `keep`-th lexicographically-smallest
     /// `(d², index)`). Records provably beyond `est` are skipped — by the
     /// norm bound without reading their embedding at all, or by
@@ -666,9 +687,10 @@ impl ScoringKernel {
     /// provably* beyond `est` are skipped. NaN/overflowed norms make the
     /// comparison false, disabling the prune rather than mis-pruning.
     /// (3) *Early exit* is sound and non-perturbing per
-    /// [`l2_distance_sq_bounded`]'s contract; the bound passed is `est`'s
-    /// upward neighbour, so an exit proves `d² > est` even at exact ties,
-    /// and survivors carry bit-identical sums.
+    /// [`l2_distance_sq_bounded`]'s contract (here reading the record's
+    /// lane at stride [`LANE_GROUP`]); the bound passed is `est`'s upward
+    /// neighbour, so an exit proves `d² > est` even at exact ties, and
+    /// survivors carry bit-identical sums.
     fn select_pruned(&self, test_embedding: &[f64], keep: usize, scratch: &mut JudgeScratch) {
         let q_norm = l2_norm_sq(test_embedding).sqrt();
         let norm_slack = 4.0 * self.dim as f64 * f64::EPSILON;
@@ -677,23 +699,35 @@ impl ScoringKernel {
         let cand = &mut scratch.dist;
         let cap = 2 * keep;
         let mut est = f64::INFINITY;
-        for (i, e) in self.store.chunks_exact(self.dim).enumerate() {
-            let lower = (self.norms[i] - q_norm).abs() - (self.norms[i] + q_norm) * norm_slack;
+        let group_len = self.dim * LANE_GROUP;
+        // The lane pass's output for batch `computed`, while `est` is inf.
+        let mut batch_d2 = [0.0f64; BATCH];
+        let mut computed = None;
+        for (i, &norm) in self.norms.iter().enumerate() {
+            let lower = (norm - q_norm).abs() - (norm + q_norm) * norm_slack;
             if lower > 0.0 && lower * lower * square_slack > est {
                 continue;
             }
             let d2 = if est.is_finite() {
-                match l2_distance_sq_bounded(e, test_embedding, next_up(est)) {
+                let g = i / LANE_GROUP;
+                let lane = &self.lanes[g * group_len + i % LANE_GROUP..(g + 1) * group_len];
+                match l2_distance_sq_bounded(lane, LANE_GROUP, test_embedding, next_up(est)) {
                     Some(d2) => d2,
                     None => continue,
                 }
             } else {
-                // `est` can stay inf past warm-up only if every candidate
-                // distance is inf (NaN/overflow queries) — the bounded
-                // kernel could then exit on records the tie rule keeps.
-                l2_distance_sq(e, test_embedding)
+                // Warm-up, before the buffer first fills, computes every
+                // record, so run the lane pass once per batch. (`est` can
+                // stay inf past warm-up only if every candidate distance
+                // is inf — NaN/overflow queries — where the bounded kernel
+                // could exit on records the tie rule keeps.)
+                if computed != Some(i / BATCH) {
+                    self.batch_distances(i / BATCH, test_embedding, &mut batch_d2);
+                    computed = Some(i / BATCH);
+                }
+                batch_d2[i % BATCH]
             };
-            let d2 = if d2.is_nan() { f64::INFINITY } else { d2 };
+            let d2 = nan_to_inf(d2);
             if d2 > est {
                 continue;
             }
@@ -713,7 +747,7 @@ impl ScoringKernel {
     /// The `k` nearest calibration records to the embedding last passed to
     /// [`ScoringKernel::select`], nearest first (the k-NN ground-truth
     /// proxy reuses the selection's distance pass instead of recomputing
-    /// it).
+    /// it). Same order as [`ScoringKernel::k_nearest`] on that embedding.
     ///
     /// # Panics
     ///
@@ -741,15 +775,21 @@ impl ScoringKernel {
             // never materialized, so recompute the full pass against the
             // stashed query. Same kernel, same NaN rule — bit-identical to
             // what the partition path's buffer would have held.
-            k_smallest_into(
-                self.store.chunks_exact(self.dim).enumerate().map(|(i, e)| {
-                    let d2 = l2_distance_sq(e, &scratch.query);
-                    (if d2.is_nan() { f64::INFINITY } else { d2 }, i as u32)
-                }),
-                k,
-                out,
-            );
+            self.k_nearest(&scratch.query, k, out);
         }
+    }
+
+    /// The `k` nearest calibration records to `query`, nearest first, ties
+    /// broken by record index and a NaN distance ranked as `+inf` — the
+    /// order of `prom_ml::knn::k_nearest` over the same rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or `query` has the wrong dimension.
+    pub fn k_nearest(&self, query: &[f64], k: usize, out: &mut Vec<usize>) {
+        assert!(k > 0, "k_nearest needs k >= 1");
+        assert_eq!(self.dim, query.len(), "embedding length mismatch");
+        k_smallest_into(self.distances(query), k.min(self.labels.len()), out);
     }
 
     /// Eq. 2 p-values for expert `expert` over the selection in `scratch`,
@@ -787,6 +827,17 @@ impl ScoringKernel {
     }
 }
 
+/// Moves the `keep` lexicographically-smallest `(d², index)` pairs to the
+/// front of `dist`. P-values are counts over the selected *set* — order
+/// within it is irrelevant — so an O(n) partition replaces a full sort.
+/// Ties break by record index so the kept set is well-defined even with
+/// duplicate embeddings at the boundary.
+fn partition_kept(dist: &mut [(f64, u32)], keep: usize) {
+    if keep < dist.len() {
+        dist.select_nth_unstable_by(keep - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    }
+}
+
 /// Insertion-selects the `k` lexicographically-smallest `(d², index)` pairs
 /// from `candidates` (any order) into `out`, nearest first. Ties break by
 /// record index — the same rule as `prom_ml::knn::k_nearest` — so the
@@ -804,6 +855,25 @@ fn k_smallest_into(candidates: impl Iterator<Item = (f64, u32)>, k: usize, out: 
     }
     out.clear();
     out.extend(best.iter().map(|&(_, i)| i as usize));
+}
+
+/// Records per lane pass on the single-query paths: eight groups, enough to
+/// amortize the call, small enough for a stack buffer.
+const BATCH: usize = 8 * LANE_GROUP;
+
+/// A NaN squared distance (the *test* embedding diverged — calibration
+/// embeddings are validated NaN-free at record construction) means the pair
+/// conforms to nothing: treat it as infinitely far, so its Eq. 1 weight is
+/// exactly 0 and the judgement stays *defined* instead of panicking in the
+/// serving path. Every strictly positive test score then gets p = 0; a test
+/// score of exactly 0 (a maximally conforming output) still ties as
+/// `0 >= 0`, matching the reference path's tie rule.
+fn nan_to_inf(d2: f64) -> f64 {
+    if d2.is_nan() {
+        f64::INFINITY
+    } else {
+        d2
+    }
 }
 
 /// The smallest `f64` strictly greater than `x`, for finite `x >= 0` —
@@ -974,6 +1044,11 @@ mod tests {
         )
     }
 
+    /// The kernel's calibration embeddings, read back row by row.
+    fn rows(kernel: &ScoringKernel) -> Vec<Vec<f64>> {
+        (0..kernel.n_records()).map(|i| kernel.embedding(i)).collect()
+    }
+
     /// Reference implementation: the old per-judgement path (allocate,
     /// sort, linear scans) via `calibration::select_weighted_subset` +
     /// `pvalue::p_values`.
@@ -983,9 +1058,8 @@ mod tests {
         test: &[f64],
         ts: &[f64],
     ) -> Vec<f64> {
-        let rows: Vec<Vec<f64>> =
-            (0..kernel.n_records()).map(|i| kernel.embedding(i).to_vec()).collect();
-        let selection = crate::calibration::select_weighted_subset(&rows, test, &kernel.selection);
+        let selection =
+            crate::calibration::select_weighted_subset(&rows(kernel), test, &kernel.selection);
         let samples: Vec<ScoredSample> = selection
             .iter()
             .map(|s| ScoredSample {
@@ -1075,9 +1149,10 @@ mod tests {
 
         assert_eq!(evicted.n_records(), rebuilt.n_records());
         assert_eq!(evicted.labels(), rebuilt.labels());
-        let got: Vec<u64> = evicted.embeddings_flat().iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u64> = rebuilt.embeddings_flat().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "stores must match bit-for-bit after the shift");
+        let bits = |k: &ScoringKernel| -> Vec<Vec<u64>> {
+            rows(k).iter().map(|row| row.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&evicted), bits(&rebuilt), "stores must match bit-for-bit after the shift");
 
         let mut scratch_e = JudgeScratch::new();
         let mut scratch_r = JudgeScratch::new();
@@ -1094,6 +1169,107 @@ mod tests {
                 let got: Vec<u64> = scratch_e.p_values.iter().map(|p| p.to_bits()).collect();
                 let want: Vec<u64> = scratch_r.p_values.iter().map(|p| p.to_bits()).collect();
                 assert_eq!(got, want, "probe {probe}, expert {expert}");
+            }
+        }
+    }
+
+    #[test]
+    fn edit_sequence_matches_a_from_scratch_kernel_bit_for_bit() {
+        // A seeded mix of inserts, replaces and removes across lane-group
+        // boundaries, checked after every step against a fresh kernel over
+        // the surviving rows: the lane store itself (padding included),
+        // then select + p-values on the partition (fraction 0.5) and the
+        // pruned (fraction 0.1) paths.
+        use rand::{Rng, SeedableRng};
+        for (dim, fraction) in [(1, 0.5), (5, 0.1), (16, 0.5), (16, 0.1)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(dim as u64);
+            let selection = SelectionConfig { fraction, min_full_size: 1, tau: 10.0 };
+            let row = |rng: &mut rand::rngs::StdRng| -> Vec<f64> {
+                (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect()
+            };
+            let mut embeddings: Vec<Vec<f64>> = (0..30).map(|_| row(&mut rng)).collect();
+            let mut labels: Vec<usize> = (0..30).map(|i| i % 3).collect();
+            let mut scores: Vec<f64> = (0..30).map(|i| (i as f64 * 0.37).sin().abs()).collect();
+            let mut kernel = ScoringKernel::new(
+                embeddings.clone(),
+                labels.clone(),
+                3,
+                vec![scores.clone()],
+                selection.clone(),
+            );
+            for step in 0..60 {
+                let n = embeddings.len();
+                let e = row(&mut rng);
+                let (label, score) = (rng.gen_range(0..3), rng.gen_range(0.0..1.0));
+                match rng.gen_range(0..3) {
+                    0 => {
+                        kernel.insert(e.clone(), label, &[score]);
+                        embeddings.push(e);
+                        labels.push(label);
+                        scores.push(score);
+                    }
+                    1 => {
+                        let i = rng.gen_range(0..n);
+                        kernel.replace(i, e.clone(), label, &[score]);
+                        (embeddings[i], labels[i], scores[i]) = (e, label, score);
+                    }
+                    _ if n > 1 => {
+                        let i = rng.gen_range(0..n);
+                        kernel.remove(i);
+                        embeddings.remove(i);
+                        labels.remove(i);
+                        scores.remove(i);
+                    }
+                    _ => {}
+                }
+                let fresh = ScoringKernel::new(
+                    embeddings.clone(),
+                    labels.clone(),
+                    3,
+                    vec![scores.clone()],
+                    selection.clone(),
+                );
+                let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+                assert_eq!(bits(&kernel.lanes), bits(&fresh.lanes), "dim {dim}, step {step}");
+                assert_eq!(bits(&kernel.norms), bits(&fresh.norms), "dim {dim}, step {step}");
+                let mut sk = JudgeScratch::new();
+                let mut sf = JudgeScratch::new();
+                for _ in 0..3 {
+                    let probe = row(&mut rng);
+                    kernel.select(&probe, &mut sk);
+                    fresh.select(&probe, &mut sf);
+                    let selected = |s: &JudgeScratch| -> Vec<(u32, u64)> {
+                        let mut v: Vec<(u32, u64)> =
+                            s.selected.iter().map(|&(i, w)| (i, w.to_bits())).collect();
+                        v.sort_unstable();
+                        v
+                    };
+                    assert_eq!(selected(&sk), selected(&sf), "dim {dim}, step {step}");
+                    for scratch in [&mut sk, &mut sf] {
+                        scratch.test_scores.clear();
+                        scratch.test_scores.extend_from_slice(&[0.2, 0.5, 0.8]);
+                    }
+                    kernel.p_values_into(0, &mut sk);
+                    fresh.p_values_into(0, &mut sf);
+                    assert_eq!(bits(&sk.p_values), bits(&sf.p_values), "dim {dim}, step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_nearest_matches_the_flat_knn_helper() {
+        for dim in [1, 3, 8, 17] {
+            let kernel = pruned_fixture(45, dim, 0.5);
+            let flat: Vec<f64> = rows(&kernel).concat();
+            let mut out = Vec::new();
+            for base in [0.0, 4.5, 11.2, f64::NAN] {
+                let query: Vec<f64> = (0..dim).map(|j| base + j as f64 * 0.01).collect();
+                for k in [1, 3, 45, 60] {
+                    kernel.k_nearest(&query, k, &mut out);
+                    let expect = prom_ml::knn::k_nearest_flat(&flat, dim, &query, k);
+                    assert_eq!(out, expect, "dim {dim}, base {base}, k {k}");
+                }
             }
         }
     }
@@ -1163,7 +1339,7 @@ mod tests {
             let queries: Vec<Vec<f64>> = vec![
                 vec![0.0, 0.01, 0.02, 0.03],
                 vec![14.5, 14.51, 14.52, 14.53],
-                kernel.embedding(10).to_vec(),
+                kernel.embedding(10),
                 vec![f64::NAN, 0.0, 0.0, 0.0],
             ];
             let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
@@ -1196,10 +1372,8 @@ mod tests {
         let mut from_pruned: Vec<u32> = sp.selected.iter().map(|&(i, _)| i).collect();
         from_pruned.sort_unstable();
         // Reference kept set via the scalar path.
-        let rows: Vec<Vec<f64>> =
-            (0..pruned.n_records()).map(|i| pruned.embedding(i).to_vec()).collect();
         let reference = crate::calibration::select_weighted_subset(
-            &rows,
+            &rows(&pruned),
             &[7.0, 7.01, 7.02],
             &pruned.selection,
         );
@@ -1218,18 +1392,13 @@ mod tests {
         assert_eq!(scratch.dist.len(), 6, "pruned path materializes only the kept set");
         // k = 10 > keep = 6: the fallback must recompute and agree with the
         // flat k-NN helper over the full store.
+        let flat: Vec<f64> = rows(&kernel).concat();
         kernel.nearest(&scratch, 10, &mut out);
-        let expect = prom_ml::knn::k_nearest_flat(
-            kernel.embeddings_flat(),
-            kernel.dim(),
-            &[30.0, 30.01],
-            10,
-        );
+        let expect = prom_ml::knn::k_nearest_flat(&flat, kernel.dim(), &[30.0, 30.01], 10);
         assert_eq!(out, expect);
         // And k <= keep stays on the kept subset with identical results.
         kernel.nearest(&scratch, 3, &mut out);
-        let expect =
-            prom_ml::knn::k_nearest_flat(kernel.embeddings_flat(), kernel.dim(), &[30.0, 30.01], 3);
+        let expect = prom_ml::knn::k_nearest_flat(&flat, kernel.dim(), &[30.0, 30.01], 3);
         assert_eq!(out, expect);
     }
 
@@ -1281,12 +1450,8 @@ mod tests {
             for probe in [0.0, 7.2, 29.9] {
                 kernel.select(&[probe], &mut scratch);
                 kernel.nearest(&scratch, 3, &mut out);
-                let expect = prom_ml::knn::k_nearest_flat(
-                    kernel.embeddings_flat(),
-                    kernel.dim(),
-                    &[probe],
-                    3,
-                );
+                let flat: Vec<f64> = rows(&kernel).concat();
+                let expect = prom_ml::knn::k_nearest_flat(&flat, kernel.dim(), &[probe], 3);
                 assert_eq!(out, expect, "probe {probe}, min_full {min_full}");
             }
         }
@@ -1343,7 +1508,7 @@ mod tests {
             for i in 40..60 {
                 let scores: Vec<f64> =
                     (0..full.n_experts()).map(|e| full.cal_scores[e][i]).collect();
-                grown.insert(full.embedding(i).to_vec(), full.labels()[i], &scores);
+                grown.insert(full.embedding(i), full.labels()[i], &scores);
             }
             assert_eq!(grown.n_records(), full.n_records());
             let mut sa = JudgeScratch::new();

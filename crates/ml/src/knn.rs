@@ -39,8 +39,7 @@ pub fn k_nearest(points: &[Vec<f64>], query: &[f64], k: usize) -> Vec<usize> {
 }
 
 /// [`k_nearest`] over a contiguous row-major store of `n` rows of `dim`
-/// values each (the blocked SoA calibration layout) — identical ordering,
-/// tie-break, and NaN semantics.
+/// values each — identical ordering, tie-break, and NaN semantics.
 ///
 /// # Panics
 ///

@@ -390,10 +390,17 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Number of independent accumulators in [`l2_distance_sq`] /
-/// [`l2_norm_sq`]. Four `f64` lanes fill one AVX2 register; the compiler
-/// auto-vectorizes the fixed-width inner loop because the accumulators are
-/// independent (no loop-carried dependency between lanes).
+/// [`l2_norm_sq`]. The accumulators carry no dependency on each other, so
+/// the compiler vectorizes the fixed-width inner loop: on the default
+/// x86-64 target (SSE2, 128-bit registers) the four `f64` lanes occupy two
+/// registers; a build for an AVX2 target level fits them in one 256-bit
+/// register. The summation order — and so every result bit — is the same
+/// either way.
 pub const L2_LANES: usize = 4;
+
+/// Records per group of a lane-grouped embedding store (see
+/// [`l2_distances_sq_lanes`]).
+pub const LANE_GROUP: usize = 8;
 
 /// **Squared** Euclidean (l2) distance between two equal-length slices,
 /// accumulated in [`L2_LANES`] independent lanes.
@@ -449,6 +456,10 @@ pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
 /// soon as the partial sum already reaches `bound`, `Some(d²)` otherwise —
 /// where the `Some` value is **bit-identical** to `l2_distance_sq(a, b)`.
 ///
+/// Element `d` of `a` is read at `a[d * stride]`: stride 1 is a contiguous
+/// row, stride [`LANE_GROUP`] one record's lane of a lane-grouped store
+/// (pass the group sliced from the record's lane offset).
+///
 /// Soundness of the exit: every term is non-negative, IEEE round-to-nearest
 /// addition of a non-negative value never decreases a sum
 /// (`fl(s + t) >= s` for `t >= 0`), and the lane combine is monotone in
@@ -459,101 +470,182 @@ pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
 /// bit-identical. A NaN partial compares false against any bound, so NaN
 /// inputs never exit early and surface as `Some(NaN)` exactly like the
 /// unbounded kernel.
+///
+/// # Panics
+///
+/// Panics if `a` is too short to hold `b.len()` elements at `stride`.
 #[inline]
-pub fn l2_distance_sq_bounded(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
-    debug_assert_eq!(a.len(), b.len(), "l2_distance_sq length mismatch");
-    let chunks = a.len() / L2_LANES;
+pub fn l2_distance_sq_bounded(a: &[f64], stride: usize, b: &[f64], bound: f64) -> Option<f64> {
+    let Some(last) = b.len().checked_sub(1) else {
+        return Some(0.0);
+    };
+    // Cut `a` at the last element read, so the compiler can drop the
+    // per-element bounds checks.
+    let a = &a[..last * stride + 1];
     let mut acc = [0.0f64; L2_LANES];
-    for (c, (ra, rb)) in a.chunks_exact(L2_LANES).zip(b.chunks_exact(L2_LANES)).enumerate() {
-        let ra: &[f64; L2_LANES] = ra.try_into().unwrap();
+    let mut chunks = b.chunks_exact(L2_LANES);
+    for (c, rb) in chunks.by_ref().enumerate() {
         let rb: &[f64; L2_LANES] = rb.try_into().unwrap();
         for l in 0..L2_LANES {
-            let d = ra[l] - rb[l];
+            let d = a[(c * L2_LANES + l) * stride] - rb[l];
             acc[l] += d * d;
         }
         // Check every 4 chunks (16 elements) — often enough to save work on
-        // far records, rare enough not to tax the vectorized inner loop.
+        // far records, rare enough not to tax the inner loop.
         if c % 4 == 3 && (acc[0] + acc[1]) + (acc[2] + acc[3]) >= bound {
             return None;
         }
     }
     let mut tail = 0.0f64;
-    for (x, y) in a[L2_LANES * chunks..].iter().zip(&b[L2_LANES * chunks..]) {
-        let d = x - y;
-        tail += d * d;
+    for (d, y) in b.iter().enumerate().skip(b.len() - chunks.remainder().len()) {
+        let x = a[d * stride] - y;
+        tail += x * x;
     }
     Some((acc[0] + acc[1]) + (acc[2] + acc[3]) + tail)
 }
 
-/// Blocked multi-query form of [`l2_distance_sq`]: squared distances from
-/// every row of the row-major `store` (`n × dim`) to every row of the
-/// row-major `queries` block (`q × dim`), written query-major to
-/// `out[j * n + i]` for store row `i` and query `j`.
-///
-/// Every `(row, query)` pair goes through [`l2_distance_sq`] itself, so
-/// each value is **bit-identical** to the single-query pass — the blocking
-/// only reorders the loops so one streaming read of the store serves the
-/// whole query block. That is the point: for stores beyond cache the
-/// single-query pass is memory-bound (it re-streams `n × dim` values per
-/// query), while a block of `q` cache-resident queries amortizes the
-/// stream `q`-fold.
+/// Offset of value `d` of record `i` in a lane-grouped store of dimension
+/// `dim`: group `i / LANE_GROUP` holds its [`LANE_GROUP`] records
+/// dimension-major, so the value sits at
+/// `((i / LANE_GROUP) · dim + d) · LANE_GROUP + i % LANE_GROUP`.
+#[inline]
+pub fn lane_offset(i: usize, d: usize, dim: usize) -> usize {
+    ((i / LANE_GROUP) * dim + d) * LANE_GROUP + i % LANE_GROUP
+}
+
+/// Regroups a row-major store (`n × dim`) into the lane-grouped layout of
+/// [`l2_distances_sq_lanes`], zero-padding the last group.
 ///
 /// # Panics
 ///
-/// Panics if `dim == 0`, either input is not a multiple of `dim`, or `out`
-/// is not exactly `n * q` long.
-pub fn l2_distances_sq_block(store: &[f64], dim: usize, queries: &[f64], out: &mut [f64]) {
-    assert!(dim > 0, "l2_distances_sq_block needs dim >= 1");
-    assert!(store.len().is_multiple_of(dim), "store length not a multiple of dim");
+/// Panics if `dim == 0` or `rows` is not a multiple of `dim`.
+pub fn lane_groups(rows: &[f64], dim: usize) -> Vec<f64> {
+    assert!(dim > 0 && rows.len().is_multiple_of(dim), "rows are not n x dim");
+    let n = rows.len() / dim;
+    let mut lanes = vec![0.0; n.div_ceil(LANE_GROUP) * dim * LANE_GROUP];
+    for (i, row) in rows.chunks_exact(dim).enumerate() {
+        for (d, &x) in row.iter().enumerate() {
+            lanes[lane_offset(i, d, dim)] = x;
+        }
+    }
+    lanes
+}
+
+/// Squared distances from every record of a lane-grouped store to every
+/// row of the row-major `queries` block (`q × dim`), written query-major to
+/// `out[j * n + i]` for record `i` and query `j`.
+///
+/// The store holds `n` records in groups of [`LANE_GROUP`]: value `d` of
+/// record `i` sits at [`lane_offset`]`(i, d, dim)`, and the lanes past `n`
+/// in the last group are padding (never written to `out`). Records, not
+/// dimensions, run across the vector lanes: each step broadcasts one query
+/// value against the same dimension of eight records, so no pair needs a
+/// horizontal combine or a reload of its query.
+///
+/// Every record still runs exactly the op sequence of
+/// [`l2_distance_sq`]`(row, query)` — `x = e[d] − q[d]`, `acc[d mod 4] +=
+/// x·x` over the whole chunks in ascending `d`, then the tail, then
+/// `(acc0 + acc1) + (acc2 + acc3) + tail` — so every value is
+/// **bit-identical** to the per-pair kernel. The four accumulator sets run
+/// one after another ("lane-major"): each set only ever sees its own
+/// dimensions in ascending order, so the order of the sets changes no bit
+/// while only one set of eight accumulators is live at a time.
+///
+/// # Panics
+///
+/// Panics if `dim == 0`, `lanes` is not `⌈n / LANE_GROUP⌉` groups of `dim
+/// × LANE_GROUP` values, `queries` is not a multiple of `dim`, or `out` is
+/// not exactly `n * q` long.
+pub fn l2_distances_sq_lanes(
+    lanes: &[f64],
+    dim: usize,
+    n: usize,
+    queries: &[f64],
+    out: &mut [f64],
+) {
+    assert!(dim > 0, "l2_distances_sq_lanes needs dim >= 1");
+    assert_eq!(lanes.len(), n.div_ceil(LANE_GROUP) * dim * LANE_GROUP, "lane store is not n x dim");
     assert!(queries.len().is_multiple_of(dim), "query-block length not a multiple of dim");
-    let n = store.len() / dim;
     assert_eq!(out.len(), n * (queries.len() / dim), "output length mismatch");
-    // Tile the store so each (query, tile) inner loop is the tight
-    // single-query pass — sequential reads over a cache-resident tile,
-    // sequential writes into one output run — instead of switching query
-    // (and output stream) every record. ~16KB tiles keep a tile plus the
-    // query block L1-resident; the loop order per (row, query) pair is
-    // irrelevant to the result, which is computed pairwise.
-    let tile_rows = (TILE_ELEMS / dim).max(1);
-    for (t, tile) in store.chunks(tile_rows * dim).enumerate() {
-        let base = t * tile_rows;
+    // Dispatch the common power-of-two dims to a const-generic pass: with
+    // the dimension known at compile time the per-group loops have
+    // constant bounds and unroll. Every arm runs the same op sequence, so
+    // bits are unchanged — unrolling is scheduling, not arithmetic.
+    match dim {
+        4 => lanes_pass_const::<4>(lanes, n, queries, out),
+        8 => lanes_pass_const::<8>(lanes, n, queries, out),
+        16 => lanes_pass_const::<16>(lanes, n, queries, out),
+        32 => lanes_pass_const::<32>(lanes, n, queries, out),
+        64 => lanes_pass_const::<64>(lanes, n, queries, out),
+        _ => lanes_pass(lanes, dim, n, queries, out),
+    }
+}
+
+/// [`l2_distances_sq_lanes`] with the dimension as a compile-time constant.
+fn lanes_pass_const<const D: usize>(lanes: &[f64], n: usize, queries: &[f64], out: &mut [f64]) {
+    lanes_pass(lanes, D, n, queries, out);
+}
+
+/// Store elements per tile of the lane pass: 2048 × 8 bytes = 16KB, half a
+/// typical 32KB L1d, leaving room for the query block and outputs.
+const TILE_ELEMS: usize = 2048;
+
+/// The body of [`l2_distances_sq_lanes`]: the store is read in tiles of
+/// whole groups, and each tile serves every query of the block while it
+/// is L1-resident, writing one sequential output run per query.
+#[inline(always)]
+fn lanes_pass(lanes: &[f64], dim: usize, n: usize, queries: &[f64], out: &mut [f64]) {
+    let group_len = dim * LANE_GROUP;
+    let tile_groups = (TILE_ELEMS / group_len).max(1);
+    let mut group_out = [0.0f64; LANE_GROUP];
+    for (t, tile) in lanes.chunks(tile_groups * group_len).enumerate() {
         for (j, query) in queries.chunks_exact(dim).enumerate() {
-            let dst = &mut out[j * n + base..];
-            // Dispatch the common power-of-two dims to a const-generic
-            // tile loop: with `D` known at compile time the short
-            // per-pair kernel fully unrolls (no chunk-loop overhead),
-            // which is where the time goes at small dims. Every arm runs
-            // the same `l2_distance_sq` op sequence, so bits are
-            // unchanged — unrolling is scheduling, not arithmetic.
-            match dim {
-                4 => tile_distances::<4>(tile, query, dst),
-                8 => tile_distances::<8>(tile, query, dst),
-                16 => tile_distances::<16>(tile, query, dst),
-                32 => tile_distances::<32>(tile, query, dst),
-                64 => tile_distances::<64>(tile, query, dst),
-                _ => {
-                    for (i, row) in tile.chunks_exact(dim).enumerate() {
-                        dst[i] = l2_distance_sq(row, query);
-                    }
+            for (g, group) in tile.chunks_exact(group_len).enumerate() {
+                let base = (t * tile_groups + g) * LANE_GROUP;
+                let valid = (n - base).min(LANE_GROUP);
+                lane_group_pass(group, &query[..dim], dim, &mut group_out);
+                let dst = &mut out[j * n + base..j * n + base + valid];
+                if valid == LANE_GROUP {
+                    // A whole group: a constant-length store, not a
+                    // `memcpy` call.
+                    let dst: &mut [f64; LANE_GROUP] = dst.try_into().unwrap();
+                    *dst = group_out;
+                } else {
+                    dst.copy_from_slice(&group_out[..valid]);
                 }
             }
         }
     }
 }
 
-/// One (tile × query) inner pass of [`l2_distances_sq_block`] with the
-/// embedding dimension as a compile-time constant.
-#[inline]
-fn tile_distances<const D: usize>(tile: &[f64], query: &[f64], dst: &mut [f64]) {
-    debug_assert_eq!(query.len(), D);
-    for (o, row) in dst.iter_mut().zip(tile.chunks_exact(D)) {
-        *o = l2_distance_sq(row, query);
+/// Squared distances from the [`LANE_GROUP`] records of one group to
+/// `query`, in the op sequence of [`l2_distance_sq`] per record.
+#[inline(always)]
+fn lane_group_pass(group: &[f64], query: &[f64], dim: usize, out: &mut [f64; LANE_GROUP]) {
+    let group = &group[..dim * LANE_GROUP];
+    let whole = dim - dim % L2_LANES;
+    // One accumulator per record over `dims`, in ascending order.
+    let sum = |dims: std::iter::StepBy<std::ops::Range<usize>>| {
+        let mut acc = [0.0f64; LANE_GROUP];
+        for d in dims {
+            let q = query[d];
+            let e: &[f64; LANE_GROUP] =
+                group[d * LANE_GROUP..(d + 1) * LANE_GROUP].try_into().unwrap();
+            for r in 0..LANE_GROUP {
+                let x = e[r] - q;
+                acc[r] += x * x;
+            }
+        }
+        acc
+    };
+    // Set `l` takes dims `l, l + 4, l + 8, …` of the whole chunks.
+    let set = |l: usize| sum((l..whole).step_by(L2_LANES));
+    let sets = [set(0), set(1), set(2), set(3)];
+    let tail = sum((whole..dim).step_by(1));
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = (sets[0][r] + sets[1][r]) + (sets[2][r] + sets[3][r]) + tail[r];
     }
 }
-
-/// Store elements per tile of the blocked pass: 2048 × 8 bytes = 16KB,
-/// half a typical 32KB L1d, leaving room for the query block and outputs.
-const TILE_ELEMS: usize = 2048;
 
 /// **Squared** l2 norm of a slice, accumulated exactly like
 /// [`l2_distance_sq`] against an implicit zero vector.
@@ -786,45 +878,92 @@ mod tests {
         let b: Vec<f64> = (0..37).map(|i| (i as f64 * 0.17).cos() * 3.0).collect();
         let exact = l2_distance_sq(&a, &b);
         // A bound above the distance must survive with identical bits.
-        let survived = l2_distance_sq_bounded(&a, &b, exact * 2.0).expect("under the bound");
+        let survived = l2_distance_sq_bounded(&a, 1, &b, exact * 2.0).expect("under the bound");
         assert_eq!(survived.to_bits(), exact.to_bits());
         // A bound the partial sum reaches must exit; one it never reaches
         // (inf) must not.
-        assert_eq!(l2_distance_sq_bounded(&a, &b, exact * 0.25), None);
+        assert_eq!(l2_distance_sq_bounded(&a, 1, &b, exact * 0.25), None);
         assert_eq!(
-            l2_distance_sq_bounded(&a, &b, f64::INFINITY).map(f64::to_bits),
+            l2_distance_sq_bounded(&a, 1, &b, f64::INFINITY).map(f64::to_bits),
             Some(exact.to_bits())
         );
         // NaN never exits early: it surfaces like the unbounded kernel.
         let nan = vec![f64::NAN; 37];
-        assert!(l2_distance_sq_bounded(&nan, &b, 0.0).expect("NaN must not exit").is_nan());
+        assert!(l2_distance_sq_bounded(&nan, 1, &b, 0.0).expect("NaN must not exit").is_nan());
+        // A record's lane of a lane-grouped store, read at stride
+        // LANE_GROUP, runs the same op sequence as its contiguous row.
+        let mut rows = vec![0.0; 3 * 37];
+        rows[37..74].copy_from_slice(&a);
+        let lanes = lane_groups(&rows, 37);
+        let lane = &lanes[lane_offset(1, 0, 37)..];
+        let survived = l2_distance_sq_bounded(lane, LANE_GROUP, &b, exact * 2.0);
+        assert_eq!(survived.map(f64::to_bits), Some(exact.to_bits()));
+        assert_eq!(l2_distance_sq_bounded(lane, LANE_GROUP, &b, exact * 0.25), None);
+    }
+
+    /// Rows whose coordinates mix ordinary values with NaN, ±inf and
+    /// 1e200 (which overflows when squared), seeded per `(n, dim)`.
+    fn hostile_rows(n: usize, dim: usize, salt: f64) -> Vec<f64> {
+        (0..n * dim)
+            .map(|k| match (k * 7 + dim) % 53 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 1.0e200,
+                _ => ((k as f64 + salt) * 0.23).sin() * 5.0,
+            })
+            .collect()
     }
 
     #[test]
-    fn blocked_distance_pass_is_bit_identical_to_single_query_calls() {
-        // (600, 5, 3) and (70, 64, 2) span multiple ~16KB store tiles,
-        // including a partial final tile, so the tiled write offsets are
-        // exercised on both the generic and const-dispatched inner loops;
-        // dims 4/8/64 hit the const-generic arms.
-        let cases =
-            [(1, 1, 1), (7, 3, 2), (40, 5, 8), (9, 4, 3), (600, 5, 3), (33, 8, 4), (70, 64, 2)];
-        for (n, dim, q) in cases {
-            let store: Vec<f64> = (0..n * dim).map(|i| (i as f64 * 0.23).sin() * 5.0).collect();
-            let mut queries: Vec<f64> =
-                (0..q * dim).map(|i| (i as f64 * 0.41).cos() * 4.0).collect();
-            // A NaN query coordinate must surface per-pair, like the
-            // single-query kernel.
-            queries[0] = f64::NAN;
-            let mut out = vec![0.0; n * q];
-            l2_distances_sq_block(&store, dim, &queries, &mut out);
-            for (j, query) in queries.chunks_exact(dim).enumerate() {
-                for (i, row) in store.chunks_exact(dim).enumerate() {
-                    assert_eq!(
-                        out[j * n + i].to_bits(),
-                        l2_distance_sq(row, query).to_bits(),
-                        "row {i}, query {j}"
-                    );
+    fn lane_pass_is_bit_identical_to_the_per_pair_kernel() {
+        // Every dim 1..=70 covers the tail-only dims, all five
+        // const-dispatched arms and the runtime path; the sizes cover a
+        // partial single group, an exact group, one record past a group
+        // and many groups; 1-, 3- and 8-query blocks cover the block
+        // shapes the judging paths use.
+        for dim in 1..=70 {
+            for n in [1, 7, 8, 9, 45, 1000] {
+                let rows = hostile_rows(n, dim, 0.0);
+                let lanes = lane_groups(&rows, dim);
+                for q in [1, 3, 8] {
+                    let queries = hostile_rows(q, dim, 0.5);
+                    // Pre-filled with a sentinel: a padded lane reaching an
+                    // output would overwrite a neighbouring record's slot
+                    // or leave the sentinel in place.
+                    let mut out = vec![-1.0; n * q];
+                    l2_distances_sq_lanes(&lanes, dim, n, &queries, &mut out);
+                    for (j, query) in queries.chunks_exact(dim).enumerate() {
+                        for (i, row) in rows.chunks_exact(dim).enumerate() {
+                            let (got, want) = (out[j * n + i], l2_distance_sq(row, query));
+                            // Rust leaves a NaN result's sign and payload
+                            // unspecified (the optimizer may commute an
+                            // add), so NaN matches NaN; every other value
+                            // must match bit for bit.
+                            assert!(
+                                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                                "dim {dim}, n {n}, q {q}, record {i}, query {j}: {got} vs {want}"
+                            );
+                        }
+                    }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_groups_zero_pad_the_last_group() {
+        let rows: Vec<f64> = (1..=9 * 3).map(f64::from).collect();
+        let lanes = lane_groups(&rows, 3);
+        assert_eq!(lanes.len(), 2 * 3 * LANE_GROUP);
+        for (i, row) in rows.chunks_exact(3).enumerate() {
+            for (d, &x) in row.iter().enumerate() {
+                assert_eq!(lanes[lane_offset(i, d, 3)], x);
+            }
+        }
+        for i in 9..2 * LANE_GROUP {
+            for d in 0..3 {
+                assert_eq!(lanes[lane_offset(i, d, 3)].to_bits(), 0.0f64.to_bits());
             }
         }
     }
