@@ -23,6 +23,7 @@
 //! model trained on one data distribution is *accurate in-distribution and
 //! degrades out-of-distribution* — the phenomenon Prom detects.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -391,11 +391,11 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Number of independent accumulators in [`l2_distance_sq`] /
 /// [`l2_norm_sq`]. The accumulators carry no dependency on each other, so
-/// the compiler vectorizes the fixed-width inner loop: on the default
-/// x86-64 target (SSE2, 128-bit registers) the four `f64` lanes occupy two
-/// registers; a build for an AVX2 target level fits them in one 256-bit
-/// register. The summation order — and so every result bit — is the same
-/// either way.
+/// the compiler vectorizes the fixed-width inner loop over them. The lane
+/// pass ([`l2_distances_sq_lanes`]) keeps the same four accumulators per
+/// record but runs records across the vector lanes, at whatever register
+/// width the CPU offers. The summation order — and so every result bit —
+/// is the same at every width: Rust never contracts to FMA.
 pub const L2_LANES: usize = 4;
 
 /// Records per group of a lane-grouped embedding store (see
@@ -551,6 +551,13 @@ pub fn lane_groups(rows: &[f64], dim: usize) -> Vec<f64> {
 /// dimensions in ascending order, so the order of the sets changes no bit
 /// while only one set of eight accumulators is live at a time.
 ///
+/// Each call runs at the widest SIMD level the CPU reports — on x86-64,
+/// AVX-512F (one 512-bit register per set), else AVX2 (two 256-bit
+/// registers), else the build's baseline (SSE2 on the default target: four
+/// 128-bit registers). Every level compiles the same body; only the vector
+/// width differs, and since Rust never contracts to FMA the op sequence,
+/// and so every bit, is the same at each level.
+///
 /// # Panics
 ///
 /// Panics if `dim == 0`, `lanes` is not `⌈n / LANE_GROUP⌉` groups of `dim
@@ -567,6 +574,74 @@ pub fn l2_distances_sq_lanes(
     assert_eq!(lanes.len(), n.div_ceil(LANE_GROUP) * dim * LANE_GROUP, "lane store is not n x dim");
     assert!(queries.len().is_multiple_of(dim), "query-block length not a multiple of dim");
     assert_eq!(out.len(), n * (queries.len() / dim), "output length mismatch");
+    lanes_pass_up_to(SimdLevel::Avx512, lanes, dim, n, queries, out);
+}
+
+/// The SIMD levels the lane pass is compiled for, narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum SimdLevel {
+    /// The build's target level (SSE2 on the default x86-64 target).
+    Baseline,
+    /// AVX2: 256-bit registers.
+    Avx2,
+    /// AVX-512F: 512-bit registers, one per eight-record accumulator set.
+    Avx512,
+}
+
+/// Runs the lane pass at the widest level, up to `max`, that this CPU
+/// supports, and returns that level. Other architectures always run the
+/// baseline.
+#[allow(unsafe_code)]
+fn lanes_pass_up_to(
+    max: SimdLevel,
+    lanes: &[f64],
+    dim: usize,
+    n: usize,
+    queries: &[f64],
+    out: &mut [f64],
+) -> SimdLevel {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if max >= SimdLevel::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the `is_x86_feature_detected!("avx512f")` check just
+            // above found AVX-512F on this CPU, the only feature
+            // `lanes_pass_avx512` enables.
+            unsafe { lanes_pass_avx512(lanes, dim, n, queries, out) };
+            return SimdLevel::Avx512;
+        }
+        if max >= SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the `is_x86_feature_detected!("avx2")` check just
+            // above found AVX2 on this CPU, the only feature
+            // `lanes_pass_avx2` enables.
+            unsafe { lanes_pass_avx2(lanes, dim, n, queries, out) };
+            return SimdLevel::Avx2;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = max;
+    lanes_pass_dims(lanes, dim, n, queries, out);
+    SimdLevel::Baseline
+}
+
+/// [`lanes_pass_dims`] compiled with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lanes_pass_avx512(lanes: &[f64], dim: usize, n: usize, queries: &[f64], out: &mut [f64]) {
+    lanes_pass_dims(lanes, dim, n, queries, out);
+}
+
+/// [`lanes_pass_dims`] compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lanes_pass_avx2(lanes: &[f64], dim: usize, n: usize, queries: &[f64], out: &mut [f64]) {
+    lanes_pass_dims(lanes, dim, n, queries, out);
+}
+
+/// The body of [`l2_distances_sq_lanes`] at every SIMD level: inlined into
+/// each level's function, so each compiles it at its own vector width.
+#[inline(always)]
+fn lanes_pass_dims(lanes: &[f64], dim: usize, n: usize, queries: &[f64], out: &mut [f64]) {
     // Dispatch the common power-of-two dims to a const-generic pass: with
     // the dimension known at compile time the per-group loops have
     // constant bounds and unroll. Every arm runs the same op sequence, so
@@ -582,6 +657,7 @@ pub fn l2_distances_sq_lanes(
 }
 
 /// [`l2_distances_sq_lanes`] with the dimension as a compile-time constant.
+#[inline(always)]
 fn lanes_pass_const<const D: usize>(lanes: &[f64], n: usize, queries: &[f64], out: &mut [f64]) {
     lanes_pass(lanes, D, n, queries, out);
 }
@@ -590,9 +666,9 @@ fn lanes_pass_const<const D: usize>(lanes: &[f64], n: usize, queries: &[f64], ou
 /// typical 32KB L1d, leaving room for the query block and outputs.
 const TILE_ELEMS: usize = 2048;
 
-/// The body of [`l2_distances_sq_lanes`]: the store is read in tiles of
-/// whole groups, and each tile serves every query of the block while it
-/// is L1-resident, writing one sequential output run per query.
+/// The tiled loop of every [`lanes_pass_dims`] arm: the store is read in
+/// tiles of whole groups, and each tile serves every query of the block
+/// while it is L1-resident, writing one sequential output run per query.
 #[inline(always)]
 fn lanes_pass(lanes: &[f64], dim: usize, n: usize, queries: &[f64], out: &mut [f64]) {
     let group_len = dim * LANE_GROUP;
@@ -901,54 +977,102 @@ mod tests {
         assert_eq!(l2_distance_sq_bounded(lane, LANE_GROUP, &b, exact * 0.25), None);
     }
 
-    /// Rows whose coordinates mix ordinary values with NaN, ±inf and
-    /// 1e200 (which overflows when squared), seeded per `(n, dim)`.
-    fn hostile_rows(n: usize, dim: usize, salt: f64) -> Vec<f64> {
+    /// Rows whose coordinates mix ordinary values with ±0.0, subnormals,
+    /// NaN, ±inf, ±1e160 (whose squared differences overflow to `+inf`)
+    /// and 1e154 (whose squares are finite but overflow when summed),
+    /// seeded per `(n, dim)`, at most ten in every `period` values: rare
+    /// enough that many pairs still have an ordinary finite distance at
+    /// dim 70.
+    fn hostile_rows(n: usize, dim: usize, salt: f64, period: usize) -> Vec<f64> {
         (0..n * dim)
-            .map(|k| match (k * 7 + dim) % 53 {
+            .map(|k| match (k * 7 + dim) % period {
                 0 => f64::NAN,
                 1 => f64::INFINITY,
                 2 => f64::NEG_INFINITY,
-                3 => 1.0e200,
+                3 => 1.0e160,
+                4 => -1.3e160,
+                5 => 1.0e154,
+                6 => 0.0,
+                7 => -0.0,
+                8 => f64::MIN_POSITIVE / 3.0,
+                9 => -5.0e-324,
                 _ => ((k as f64 + salt) * 0.23).sin() * 5.0,
             })
             .collect()
     }
 
+    /// Every SIMD level this CPU runs, narrowest first; the baseline
+    /// always. Detected here independently of the dispatcher.
+    fn host_levels() -> Vec<SimdLevel> {
+        let mut levels = vec![SimdLevel::Baseline];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                levels.push(SimdLevel::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                levels.push(SimdLevel::Avx512);
+            }
+        }
+        levels
+    }
+
     #[test]
     fn lane_pass_is_bit_identical_to_the_per_pair_kernel() {
+        let levels = host_levels();
         // Every dim 1..=70 covers the tail-only dims, all five
         // const-dispatched arms and the runtime path; the sizes cover a
-        // partial single group, an exact group, one record past a group
-        // and many groups; 1-, 3- and 8-query blocks cover the block
-        // shapes the judging paths use.
+        // partial single group, an exact group, one record past a group,
+        // the 64-record batch of single-query selection, one past it, and
+        // many groups; 1-, 3- and 8-query blocks cover the block shapes
+        // the judging paths use. Each size runs at every level the host
+        // has, so a wide host still checks the baseline.
         for dim in 1..=70 {
-            for n in [1, 7, 8, 9, 45, 1000] {
-                let rows = hostile_rows(n, dim, 0.0);
+            for n in [1, 7, 8, 9, 64, 65, 1000] {
+                let rows = hostile_rows(n, dim, 0.0, 257);
                 let lanes = lane_groups(&rows, dim);
                 for q in [1, 3, 8] {
-                    let queries = hostile_rows(q, dim, 0.5);
-                    // Pre-filled with a sentinel: a padded lane reaching an
-                    // output would overwrite a neighbouring record's slot
-                    // or leave the sentinel in place.
-                    let mut out = vec![-1.0; n * q];
-                    l2_distances_sq_lanes(&lanes, dim, n, &queries, &mut out);
-                    for (j, query) in queries.chunks_exact(dim).enumerate() {
-                        for (i, row) in rows.chunks_exact(dim).enumerate() {
-                            let (got, want) = (out[j * n + i], l2_distance_sq(row, query));
+                    let queries = hostile_rows(q, dim, 0.5, 1031);
+                    let want: Vec<f64> = queries
+                        .chunks_exact(dim)
+                        .flat_map(|query| {
+                            rows.chunks_exact(dim).map(|row| l2_distance_sq(row, query))
+                        })
+                        .collect();
+                    for &level in &levels {
+                        // Pre-filled with a sentinel: a padded lane reaching
+                        // an output would overwrite a neighbouring record's
+                        // slot or leave the sentinel in place.
+                        let mut out = vec![-1.0; n * q];
+                        let ran = lanes_pass_up_to(level, &lanes, dim, n, &queries, &mut out);
+                        assert_eq!(ran, level, "the host supports {level:?}");
+                        for (k, (&got, &want)) in out.iter().zip(&want).enumerate() {
                             // Rust leaves a NaN result's sign and payload
                             // unspecified (the optimizer may commute an
                             // add), so NaN matches NaN; every other value
                             // must match bit for bit.
                             assert!(
                                 got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                                "dim {dim}, n {n}, q {q}, record {i}, query {j}: {got} vs {want}"
+                                "{level:?}, dim {dim}, n {n}, q {q}, record {}, query {}: {got} vs {want}",
+                                k % n,
+                                k / n
                             );
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn lane_pass_dispatches_to_the_widest_supported_level() {
+        let widest = *host_levels().last().expect("the baseline is always supported");
+        let lanes = lane_groups(&[1.0, 2.0], 2);
+        let mut out = [0.0];
+        assert_eq!(
+            lanes_pass_up_to(SimdLevel::Avx512, &lanes, 2, 1, &[0.5, 0.5], &mut out),
+            widest
+        );
     }
 
     #[test]
