@@ -15,7 +15,10 @@
 //!   over the same stores;
 //! * `select/*` — the end-to-end `ScoringKernel::select` plus the Eq. 2
 //!   p-value pass it feeds, at 100k records, on the partition path
-//!   (keep 50%) and the norm-bound pruned filtered scan (keep 10%).
+//!   (keep 50%) and the norm-bound pruned filtered scan (keep 10%);
+//! * `p_values/*` — the Eq. 2 pass alone for a 4-expert committee over
+//!   one fixed selection (4096 × 64, keep 50%): four single-expert
+//!   `p_values_into` calls against one fused `p_values_all`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -163,6 +166,42 @@ fn bench_kernel(c: &mut Criterion) {
             })
         });
     }
+
+    // The committee p-value pass after one selection: a 4-expert kernel
+    // at 4096 × 64, keep 50% (the bulk-judge shape), 8 labels.
+    let (n, dim, n_labels, n_experts) = (4096, 64, 8, 4);
+    let flat = store(n, dim);
+    let kernel = ScoringKernel::new(
+        flat.chunks_exact(dim).map(<[f64]>::to_vec).collect(),
+        (0..n).map(|i| i % n_labels).collect(),
+        n_labels,
+        (0..n_experts)
+            .map(|e| (0..n).map(|i| 0.1 + ((i * (13 + e) % 97) as f64 / 97.0)).collect())
+            .collect(),
+        SelectionConfig { fraction: 0.5, min_full_size: 1, tau: 50.0 },
+    );
+    let mut scratch = JudgeScratch::new();
+    kernel.select(&query(dim), &mut scratch);
+    let tests: Vec<f64> =
+        (0..n_experts * n_labels).map(|k| 0.05 + (k as f64 * 0.37).sin().abs() * 0.5).collect();
+    group.bench_function("p_values/per_expert_4x4096x64", |b| {
+        b.iter(|| {
+            for (e, row) in tests.chunks_exact(n_labels).enumerate() {
+                scratch.test_scores.clear();
+                scratch.test_scores.extend_from_slice(row);
+                kernel.p_values_into(e, &mut scratch);
+                std::hint::black_box(&scratch.p_values);
+            }
+        })
+    });
+    group.bench_function("p_values/all_4x4096x64", |b| {
+        b.iter(|| {
+            scratch.test_scores.clear();
+            scratch.test_scores.extend_from_slice(&tests);
+            kernel.p_values_all(&mut scratch);
+            std::hint::black_box(&scratch.p_values);
+        })
+    });
 
     group.finish();
 }

@@ -31,8 +31,8 @@ const QUERY_BLOCK: usize = 8;
 pub struct PromClassifier {
     records: Vec<CalibrationRecord>,
     experts: Vec<Box<dyn Nonconformity>>,
-    /// The shared scoring kernel: calibration embeddings, labels, and the
-    /// per-expert score tables precomputed offline (Sec. 4.1.1).
+    /// The shared scoring kernel: calibration embeddings, labels, and
+    /// every expert's scores precomputed offline (Sec. 4.1.1).
     kernel: ScoringKernel,
     config: PromConfig,
     n_classes: usize,
@@ -223,7 +223,7 @@ impl PromClassifier {
     }
 
     /// The single-sample kernel run both paths share: one Eq. 1 selection,
-    /// one p-value pass per expert, one committee vote.
+    /// one p-value pass for the whole committee, one committee vote.
     fn judge_scratch(
         &self,
         embedding: &[f64],
@@ -243,25 +243,32 @@ impl PromClassifier {
         config: &PromConfig,
         scratch: &mut JudgeScratch,
     ) -> PromJudgement {
-        assert_eq!(probs.len(), self.n_classes, "class-count mismatch");
+        self.committee_p_values(probs, scratch);
         let predicted = prom_ml::matrix::argmax(probs);
         let verdicts: Vec<ExpertVerdict> = self
             .experts
             .iter()
-            .enumerate()
-            .map(|(e, expert)| {
-                scratch.test_scores.clear();
-                scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(probs, y)));
-                self.kernel.p_values_into(e, scratch);
-                verdict_from_p_values(expert.name(), &scratch.p_values, predicted, config)
-            })
+            .zip(scratch.p_values.chunks_exact(self.n_classes))
+            .map(|(expert, ps)| verdict_from_p_values(expert.name(), ps, predicted, config))
             .collect();
         let (accepted, reject_votes) = committee_accepts(&verdicts);
         PromJudgement { accepted, reject_votes, verdicts }
     }
 
+    /// Every expert's p-values for `probs` over the selection already in
+    /// `scratch`: fills the `E × L` test scores, then runs
+    /// [`ScoringKernel::p_values_all`] into `scratch.p_values`.
+    fn committee_p_values(&self, probs: &[f64], scratch: &mut JudgeScratch) {
+        assert_eq!(probs.len(), self.n_classes, "class-count mismatch");
+        scratch.test_scores.clear();
+        for expert in &self.experts {
+            scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(probs, y)));
+        }
+        self.kernel.p_values_all(scratch);
+    }
+
     /// Judges a window once and re-thresholds it under every configuration:
-    /// one Eq. 1 selection and one per-expert p-value pass per *sample*,
+    /// one Eq. 1 selection and one committee p-value pass per *sample*,
     /// then `configs.len()` cheap committee votes — the shared-embedding
     /// fan-out behind `MultiPipeline::fanout`. Returns one judgement vector
     /// per configuration (`result[c][s]`), each **bit-identical** to
@@ -301,7 +308,7 @@ impl PromClassifier {
     }
 
     /// Scores the sample whose Eq. 1 selection is already in `scratch` once
-    /// per expert and re-thresholds it under every fanned-out
+    /// for the whole committee and re-thresholds it under every fanned-out
     /// configuration, appending one judgement per configuration to `out`.
     fn fanout_selected(
         &self,
@@ -310,21 +317,13 @@ impl PromClassifier {
         scratch: &mut JudgeScratch,
         out: &mut [Vec<PromJudgement>],
     ) {
-        assert_eq!(s.outputs.len(), self.n_classes, "class-count mismatch");
+        self.committee_p_values(&s.outputs, scratch);
         let predicted = prom_ml::matrix::argmax(&s.outputs);
         let mut verdicts: Vec<Vec<ExpertVerdict>> =
             (0..configs.len()).map(|_| Vec::with_capacity(self.experts.len())).collect();
-        for (e, expert) in self.experts.iter().enumerate() {
-            scratch.test_scores.clear();
-            scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(&s.outputs, y)));
-            self.kernel.p_values_into(e, scratch);
+        for (expert, ps) in self.experts.iter().zip(scratch.p_values.chunks_exact(self.n_classes)) {
             for (config, per_config) in configs.iter().zip(verdicts.iter_mut()) {
-                per_config.push(verdict_from_p_values(
-                    expert.name(),
-                    &scratch.p_values,
-                    predicted,
-                    config,
-                ));
+                per_config.push(verdict_from_p_values(expert.name(), ps, predicted, config));
             }
         }
         for (per_config, judged) in verdicts.into_iter().zip(out.iter_mut()) {
@@ -347,16 +346,8 @@ impl PromClassifier {
         assert_eq!(probs.len(), self.n_classes, "class-count mismatch");
         let mut scratch = JudgeScratch::new();
         self.kernel.select(embedding, &mut scratch);
-        self.experts
-            .iter()
-            .enumerate()
-            .map(|(e, expert)| {
-                scratch.test_scores.clear();
-                scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(probs, y)));
-                self.kernel.p_values_into(e, &mut scratch);
-                scratch.p_values.clone()
-            })
-            .collect()
+        self.committee_p_values(probs, &mut scratch);
+        scratch.p_values.chunks_exact(self.n_classes).map(<[f64]>::to_vec).collect()
     }
 
     /// Re-thresholds precomputed per-expert p-values (from

@@ -189,7 +189,7 @@ pub struct PromRegressor {
     kmeans: KMeans,
     experts: Vec<Box<dyn RegressionNonconformity>>,
     /// The shared scoring kernel over pseudo-label clusters: calibration
-    /// embeddings, cluster labels, and per-expert residual score tables.
+    /// embeddings, cluster labels, and every expert's residual scores.
     kernel: ScoringKernel,
     residual_scale: f64,
     config: PromRegressorConfig,
@@ -382,18 +382,21 @@ impl PromRegressor {
         let assigned = self.kernel.labels()[neighbours[0]];
         let n_clusters = self.kmeans.k();
 
+        // The residual score does not depend on the candidate cluster, but
+        // the per-cluster calibration populations do: each expert's row of
+        // the `E × L` test scores repeats one value.
+        scratch.test_scores.clear();
+        for expert in &self.experts {
+            let test_score = expert.score(prediction, proxy_target, self.residual_scale);
+            scratch.test_scores.extend(std::iter::repeat_n(test_score, n_clusters));
+        }
+        self.kernel.p_values_all(scratch);
         let verdicts: Vec<ExpertVerdict> = self
             .experts
             .iter()
-            .enumerate()
-            .map(|(e, expert)| {
-                let test_score = expert.score(prediction, proxy_target, self.residual_scale);
-                // The residual score does not depend on the candidate
-                // cluster, but the per-cluster calibration populations do.
-                scratch.test_scores.clear();
-                scratch.test_scores.resize(n_clusters, test_score);
-                self.kernel.p_values_into(e, scratch);
-                verdict_from_p_values(expert.name(), &scratch.p_values, assigned, &self.config.prom)
+            .zip(scratch.p_values.chunks_exact(n_clusters))
+            .map(|(expert, ps)| {
+                verdict_from_p_values(expert.name(), ps, assigned, &self.config.prom)
             })
             .collect();
         let (accepted, reject_votes) = committee_accepts(&verdicts);

@@ -13,8 +13,9 @@
 //! * [`ScoringKernel`] + [`JudgeScratch`] — the Eq. 1/Eq. 2 weighted path
 //!   used by Prom itself: one distance pass per test sample into a
 //!   **reusable scratch buffer**, selection without a sort when the whole
-//!   calibration set is kept, and per-expert p-values computed from a
-//!   label-grouped view in `O(S + L)` per expert instead of `O(S · L)`.
+//!   calibration set is kept, and the p-values of all `E` experts
+//!   computed in one `O(S · E + L)` pass over the kept set, sorted into
+//!   label runs, instead of `O(S · L)` per expert.
 //!
 //! `judge` and `judge_batch` run the exact same kernel code — the batched
 //! path only reuses one [`JudgeScratch`] across samples — so batched and
@@ -242,9 +243,15 @@ impl ScoreTable {
 /// Reusable per-stream scratch space for the weighted scoring kernel.
 ///
 /// Allocate once (per deployment stream, thread, or batch) and pass to
-/// every [`ScoringKernel::select`] / [`ScoringKernel::p_values_into`] call;
+/// every [`ScoringKernel::select`] / [`ScoringKernel::p_values_all`] call;
 /// all interior vectors are recycled, so a long `judge_batch` performs no
 /// per-sample allocation.
+///
+/// `test_scores` and `p_values` are expert-major `E × L` tables for
+/// [`ScoringKernel::p_values_all`] (`E` experts, `L` labels): entry
+/// `e · L + y` belongs to expert `e` and label `y`, so expert `e`'s row is
+/// `[e · L, (e + 1) · L)`. The single-expert reader
+/// [`ScoringKernel::p_values_into`] uses one row of `L`.
 #[derive(Debug, Default)]
 pub struct JudgeScratch {
     /// (squared distance, record index); after [`ScoringKernel::select`]
@@ -260,14 +267,20 @@ pub struct JudgeScratch {
     /// for [`ScoringKernel::nearest`]'s rare `k > keep` fallback, which
     /// must recompute distances the pruned path never materialized.
     query: Vec<f64>,
-    /// (record index, Eq. 1 weight) of the selected subset.
+    /// (record index, Eq. 1 weight) of the selected subset, sorted by
+    /// calibration label into contiguous runs: label `y`'s kept records
+    /// are `selected[label_ends[y - 1]..label_ends[y]]` (from 0 for
+    /// `y = 0`).
     selected: Vec<(u32, f64)>,
-    /// Positions into `selected`, grouped by calibration label.
-    by_label: Vec<Vec<u32>>,
-    /// Per-label test nonconformity scores; filled by the caller before
-    /// [`ScoringKernel::p_values_into`].
+    /// Each label's run end in `selected`. The counting sort also uses it
+    /// as the fill cursor: it holds run starts before the scatter and run
+    /// ends after it.
+    label_ends: Vec<u32>,
+    /// Test nonconformity scores, `E × L` expert-major (`L` for
+    /// [`ScoringKernel::p_values_into`]); filled by the caller.
     pub test_scores: Vec<f64>,
-    /// Per-label p-values; output of [`ScoringKernel::p_values_into`].
+    /// P-values in the shape of `test_scores`; output of
+    /// [`ScoringKernel::p_values_all`] / [`ScoringKernel::p_values_into`].
     pub p_values: Vec<f64>,
     /// k-NN record indices; output of [`ScoringKernel::nearest`]. Carried
     /// here so the one scratch a persistent shard worker owns covers the
@@ -283,8 +296,8 @@ impl JudgeScratch {
 }
 
 /// The weighted conformal scoring kernel of Prom's hot path: Eq. 1
-/// distance-weighted subset selection plus Eq. 2 per-label p-values for any
-/// number of nonconformity experts.
+/// distance-weighted subset selection plus Eq. 2 per-label p-values for
+/// every nonconformity expert of a committee in one pass.
 ///
 /// Built once at detector construction; immutable afterwards, so it is
 /// freely shared across threads while each stream judges with its own
@@ -301,6 +314,12 @@ impl JudgeScratch {
 /// [`ScoringKernel::insert`] / [`ScoringKernel::replace`] /
 /// [`ScoringKernel::remove`]) to power the triangle-inequality pruning
 /// bound of the selective path.
+///
+/// Calibration scores live in one record-major store: expert `e`'s score
+/// of record `i` sits at `i · E + e`, so one kept record's whole committee
+/// row is a single short load. [`ScoringKernel::select`] leaves the kept
+/// set sorted by label into contiguous runs, and
+/// [`ScoringKernel::p_values_all`] walks those runs once for all experts.
 #[derive(Debug)]
 pub struct ScoringKernel {
     /// Lane-grouped embedding store: value `d` of record `i` sits at
@@ -312,14 +331,18 @@ pub struct ScoringKernel {
     norms: Vec<f64>,
     labels: Vec<usize>,
     n_labels: usize,
-    /// `cal_scores[e][i]`: expert `e`'s nonconformity of calibration record
-    /// `i` at its true label, precomputed offline.
-    cal_scores: Vec<Vec<f64>>,
+    /// Number of experts `E`.
+    n_experts: usize,
+    /// `scores[i · E + e]`: expert `e`'s nonconformity of calibration
+    /// record `i` at its true label, precomputed offline (record-major).
+    scores: Vec<f64>,
     selection: SelectionConfig,
 }
 
 impl ScoringKernel {
-    /// Builds the kernel.
+    /// Builds the kernel. `cal_scores[e][i]` is expert `e`'s score of
+    /// record `i`; it is transposed once, in `O(n · E)`, into the
+    /// record-major store.
     ///
     /// # Panics
     ///
@@ -348,7 +371,12 @@ impl ScoringKernel {
             }
         }
         let norms = embeddings.iter().map(|e| l2_norm_sq(e).sqrt()).collect();
-        Self { lanes, dim, norms, labels, n_labels, cal_scores, selection }
+        let n_experts = cal_scores.len();
+        let mut scores = Vec::with_capacity(labels.len() * n_experts);
+        for i in 0..labels.len() {
+            scores.extend(cal_scores.iter().map(|table| table[i]));
+        }
+        Self { lanes, dim, norms, labels, n_labels, n_experts, scores, selection }
     }
 
     /// Number of calibration records.
@@ -366,9 +394,9 @@ impl ScoringKernel {
         self.n_labels
     }
 
-    /// Number of experts whose score tables the kernel holds.
+    /// Number of experts `E`: the kernel holds `E` scores per record.
     pub fn n_experts(&self) -> usize {
-        self.cal_scores.len()
+        self.n_experts
     }
 
     /// Copies calibration embedding `index` out of the lane-grouped store.
@@ -409,10 +437,8 @@ impl ScoringKernel {
     pub fn insert(&mut self, embedding: Vec<f64>, label: usize, scores: &[f64]) {
         assert_eq!(embedding.len(), self.dim, "embedding length mismatch on insert");
         assert!(label < self.n_labels, "label {label} out of range for {} labels", self.n_labels);
-        assert_eq!(scores.len(), self.cal_scores.len(), "one score per expert required");
-        for (table, &score) in self.cal_scores.iter_mut().zip(scores.iter()) {
-            table.push(score);
-        }
+        assert_eq!(scores.len(), self.n_experts, "one score per expert required");
+        self.scores.extend_from_slice(scores);
         self.norms.push(l2_norm_sq(&embedding).sqrt());
         let index = self.labels.len();
         if index.is_multiple_of(LANE_GROUP) {
@@ -434,10 +460,8 @@ impl ScoringKernel {
         assert!(index < self.labels.len(), "record index {index} out of range");
         assert_eq!(embedding.len(), self.dim, "embedding length mismatch on replace");
         assert!(label < self.n_labels, "label {label} out of range for {} labels", self.n_labels);
-        assert_eq!(scores.len(), self.cal_scores.len(), "one score per expert required");
-        for (table, &score) in self.cal_scores.iter_mut().zip(scores.iter()) {
-            table[index] = score;
-        }
+        assert_eq!(scores.len(), self.n_experts, "one score per expert required");
+        self.scores[index * self.n_experts..(index + 1) * self.n_experts].copy_from_slice(scores);
         self.norms[index] = l2_norm_sq(&embedding).sqrt();
         self.write_lane(index, &embedding);
         self.labels[index] = label;
@@ -464,9 +488,7 @@ impl ScoringKernel {
         let n = self.labels.len();
         assert!(index < n, "record index {index} out of range");
         assert!(n > 1, "cannot remove the last calibration record");
-        for table in &mut self.cal_scores {
-            table.remove(index);
-        }
+        self.scores.drain(index * self.n_experts..(index + 1) * self.n_experts);
         self.norms.remove(index);
         self.labels.remove(index);
         // Every row (one dimension of one group) from `index`'s group on
@@ -489,21 +511,11 @@ impl ScoringKernel {
         self.lanes.truncate((n - 1).div_ceil(LANE_GROUP) * group_len);
     }
 
-    /// Borrows expert `expert`'s precomputed nonconformity scores, one per
-    /// calibration record in store order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range expert index.
-    pub fn expert_scores(&self, expert: usize) -> &[f64] {
-        &self.cal_scores[expert]
-    }
-
     /// Runs the Eq. 1 selection for one test embedding into `scratch`:
     /// computes calibration distances (one streaming pass over the
     /// lane-grouped store, reused buffer), keeps the nearest fraction per
     /// [`SelectionConfig`], weights the kept records by `exp(-d / tau)`,
-    /// and groups them by label for the p-value pass.
+    /// and sorts them into label runs for the p-value pass.
     ///
     /// Distances are compared as **squared** distances throughout — the
     /// square root is a monotone bijection on `[0, +inf]`, and every
@@ -591,23 +603,32 @@ impl ScoringKernel {
         keep < self.labels.len() && keep * 4 <= self.labels.len()
     }
 
-    /// Weights the kept prefix of `scratch.dist` and groups it by label —
-    /// the shared tail of every selection path. `sqrt` happens here, once
-    /// per *kept* record, exactly where the Eq. 1 weight needs it.
+    /// Weights the kept prefix of `scratch.dist` and counting-sorts it by
+    /// label into `scratch.selected`, recording each label's run end in
+    /// `scratch.label_ends` — the shared tail of every selection path.
+    /// `sqrt` happens here, once per *kept* record, exactly where the Eq. 1
+    /// weight needs it. Order within a run is irrelevant: p-values are
+    /// counts over the kept set.
     fn finish_selection(&self, keep: usize, scratch: &mut JudgeScratch) {
-        scratch.selected.clear();
-        scratch.selected.extend(
-            scratch.dist[..keep]
-                .iter()
-                .map(|&(d2, i)| (i, (-d2.sqrt() / self.selection.tau).exp())),
-        );
-
-        scratch.by_label.resize_with(self.n_labels, Vec::new);
-        for bucket in &mut scratch.by_label {
-            bucket.clear();
+        let kept = &scratch.dist[..keep];
+        let ends = &mut scratch.label_ends;
+        ends.clear();
+        ends.resize(self.n_labels, 0);
+        for &(_, i) in kept {
+            ends[self.labels[i as usize]] += 1;
         }
-        for (pos, &(record, _)) in scratch.selected.iter().enumerate() {
-            scratch.by_label[self.labels[record as usize]].push(pos as u32);
+        // Counts to run starts: the fill cursor of the scatter below,
+        // which leaves every cursor at its run's end.
+        let mut start = 0;
+        for slot in ends.iter_mut() {
+            (*slot, start) = (start, start + *slot);
+        }
+        scratch.selected.clear();
+        scratch.selected.resize(keep, (0, 0.0));
+        for &(d2, i) in kept {
+            let cursor = &mut ends[self.labels[i as usize]];
+            scratch.selected[*cursor as usize] = (i, (-d2.sqrt() / self.selection.tau).exp());
+            *cursor += 1;
         }
     }
 
@@ -792,37 +813,101 @@ impl ScoringKernel {
         k_smallest_into(self.distances(query), k.min(self.labels.len()), out);
     }
 
-    /// Eq. 2 p-values for expert `expert` over the selection in `scratch`,
-    /// reading per-label test scores from `scratch.test_scores` and writing
-    /// per-label p-values to `scratch.p_values`.
+    /// Eq. 2 p-values of every expert over the selection in `scratch`, in
+    /// one pass: reads the `E × L` expert-major test scores from
+    /// `scratch.test_scores` and writes the `E × L` p-values to
+    /// `scratch.p_values` (see [`JudgeScratch`]).
     ///
-    /// For each label `y`, the p-value is the fraction of *selected*
-    /// label-`y` calibration records whose weight-adjusted score
-    /// `w_i * a_i` is `>= test_scores[y]`; labels absent from the selection
-    /// get 0. One scan over the selection per expert, not per label.
+    /// For expert `e` and label `y`, the p-value is the fraction of
+    /// *selected* label-`y` calibration records whose weight-adjusted
+    /// score `w_i * a_i` is `>= test_scores[e · L + y]`; labels absent from
+    /// the selection get 0. Each kept record's committee row is loaded
+    /// once, and its `E` comparisons run in registers. Row `e` equals
+    /// [`ScoringKernel::p_values_into`] for expert `e` bit for bit: both
+    /// count the same comparisons over the same label runs.
     ///
     /// # Panics
     ///
-    /// Panics if `expert` is out of range or `scratch.test_scores` has the
-    /// wrong length.
-    pub fn p_values_into(&self, expert: usize, scratch: &mut JudgeScratch) {
-        let scores = &self.cal_scores[expert];
-        assert_eq!(scratch.test_scores.len(), self.n_labels, "test-score length mismatch");
+    /// Panics if `scratch.test_scores` has the wrong length or
+    /// [`ScoringKernel::select`] has not run.
+    pub fn p_values_all(&self, scratch: &mut JudgeScratch) {
+        let (n_experts, n_labels) = (self.n_experts, self.n_labels);
+        assert_eq!(scratch.test_scores.len(), n_experts * n_labels, "test-score length mismatch");
+        assert_eq!(scratch.label_ends.len(), n_labels, "select() must run before p-values");
         scratch.p_values.clear();
-        for (label, bucket) in scratch.by_label.iter().enumerate() {
-            if bucket.is_empty() {
-                scratch.p_values.push(0.0);
-                continue;
+        scratch.p_values.resize(n_experts * n_labels, 0.0);
+        let JudgeScratch { selected, label_ends, test_scores, p_values, .. } = scratch;
+        // The committee sizes the workspace builds run the fused body at
+        // their own width: 4 (the default committees) here, and 1 (the
+        // single-expert ablation) as the one iteration of the fallback,
+        // which runs any other size one expert at a time.
+        match n_experts {
+            4 => self.count_runs::<4>(0, selected, label_ends, test_scores, p_values),
+            _ => {
+                for (e, (tests, out)) in test_scores
+                    .chunks_exact(n_labels)
+                    .zip(p_values.chunks_exact_mut(n_labels))
+                    .enumerate()
+                {
+                    self.count_runs::<1>(e, selected, label_ends, tests, out);
+                }
             }
-            let test = scratch.test_scores[label];
-            let at_least = bucket
-                .iter()
-                .filter(|&&pos| {
-                    let (record, weight) = scratch.selected[pos as usize];
-                    weight * scores[record as usize] >= test
-                })
-                .count();
-            scratch.p_values.push(at_least as f64 / bucket.len() as f64);
+        }
+    }
+
+    /// Eq. 2 p-values of expert `expert` alone: reads the `L` per-label
+    /// test scores from `scratch.test_scores` and writes `L` p-values to
+    /// `scratch.p_values`. The single-expert reader of the same store and
+    /// label runs as [`ScoringKernel::p_values_all`], whose row `expert`
+    /// it equals bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `expert` is out of range, `scratch.test_scores` has the
+    /// wrong length, or [`ScoringKernel::select`] has not run.
+    pub fn p_values_into(&self, expert: usize, scratch: &mut JudgeScratch) {
+        assert!(expert < self.n_experts, "expert {expert} out of range");
+        assert_eq!(scratch.test_scores.len(), self.n_labels, "test-score length mismatch");
+        assert_eq!(scratch.label_ends.len(), self.n_labels, "select() must run before p-values");
+        scratch.p_values.clear();
+        scratch.p_values.resize(self.n_labels, 0.0);
+        let JudgeScratch { selected, label_ends, test_scores, p_values, .. } = scratch;
+        self.count_runs::<1>(expert, selected, label_ends, test_scores, p_values);
+    }
+
+    /// The Eq. 2 count for `W` consecutive experts from `first`, over the
+    /// label runs `selected` / `label_ends` of one selection: per run, the
+    /// share of kept records with `weight * score >= test`. Reads `tests`
+    /// and writes `out` as `W × L` expert-major tables; an empty run gives
+    /// 0, and a NaN test score matches nothing. The one body of every
+    /// p-value pass — `W` is a constant, so each kept record's `W`-wide
+    /// score row is one load and its `W` compares stay in registers.
+    fn count_runs<const W: usize>(
+        &self,
+        first: usize,
+        selected: &[(u32, f64)],
+        label_ends: &[u32],
+        tests: &[f64],
+        out: &mut [f64],
+    ) {
+        let n_labels = label_ends.len();
+        let mut start = 0;
+        for (label, &end) in label_ends.iter().enumerate() {
+            let run = &selected[start as usize..end as usize];
+            start = end;
+            let test: [f64; W] = std::array::from_fn(|w| tests[w * n_labels + label]);
+            let mut at_least = [0usize; W];
+            for &(record, weight) in run {
+                let row = record as usize * self.n_experts + first;
+                let row: &[f64; W] = self.scores[row..row + W].try_into().expect("W scores");
+                for w in 0..W {
+                    at_least[w] += usize::from(weight * row[w] >= test[w]);
+                }
+            }
+            for w in 0..W {
+                out[w * n_labels + label] =
+                    if run.is_empty() { 0.0 } else { at_least[w] as f64 / run.len() as f64 };
+            }
         }
     }
 }
@@ -1044,6 +1129,11 @@ mod tests {
         )
     }
 
+    /// Expert `expert`'s stored score of calibration record `record`.
+    fn score_of(kernel: &ScoringKernel, record: usize, expert: usize) -> f64 {
+        kernel.scores[record * kernel.n_experts() + expert]
+    }
+
     /// The kernel's calibration embeddings, read back row by row.
     fn rows(kernel: &ScoringKernel) -> Vec<Vec<f64>> {
         (0..kernel.n_records()).map(|i| kernel.embedding(i)).collect()
@@ -1064,7 +1154,7 @@ mod tests {
             .iter()
             .map(|s| ScoredSample {
                 label: kernel.labels()[s.index],
-                adjusted_score: s.weight * kernel.cal_scores[expert][s.index],
+                adjusted_score: s.weight * score_of(kernel, s.index, expert),
             })
             .collect();
         crate::pvalue::p_values(&samples, ts)
@@ -1178,9 +1268,12 @@ mod tests {
         // A seeded mix of inserts, replaces and removes across lane-group
         // boundaries, checked after every step against a fresh kernel over
         // the surviving rows: the lane store itself (padding included),
-        // then select + p-values on the partition (fraction 0.5) and the
-        // pruned (fraction 0.1) paths.
+        // the record-major score store, then select + every expert's
+        // p-values on the partition (fraction 0.5) and the pruned
+        // (fraction 0.1) paths. Three experts with different scores, so a
+        // stride or offset slip in the score store's edits shows.
         use rand::{Rng, SeedableRng};
+        const EXPERTS: usize = 3;
         for (dim, fraction) in [(1, 0.5), (5, 0.1), (16, 0.5), (16, 0.1)] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(dim as u64);
             let selection = SelectionConfig { fraction, min_full_size: 1, tau: 10.0 };
@@ -1189,36 +1282,47 @@ mod tests {
             };
             let mut embeddings: Vec<Vec<f64>> = (0..30).map(|_| row(&mut rng)).collect();
             let mut labels: Vec<usize> = (0..30).map(|i| i % 3).collect();
-            let mut scores: Vec<f64> = (0..30).map(|i| (i as f64 * 0.37).sin().abs()).collect();
+            // `scores[e][i]`: expert-major, as `ScoringKernel::new` takes it.
+            let mut scores: Vec<Vec<f64>> = (0..EXPERTS)
+                .map(|e| (0..30).map(|i| (i as f64 * (0.37 + e as f64)).sin().abs()).collect())
+                .collect();
             let mut kernel = ScoringKernel::new(
                 embeddings.clone(),
                 labels.clone(),
                 3,
-                vec![scores.clone()],
+                scores.clone(),
                 selection.clone(),
             );
             for step in 0..60 {
                 let n = embeddings.len();
                 let e = row(&mut rng);
-                let (label, score) = (rng.gen_range(0..3), rng.gen_range(0.0..1.0));
+                let label = rng.gen_range(0..3);
+                let record: [f64; EXPERTS] = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
                 match rng.gen_range(0..3) {
                     0 => {
-                        kernel.insert(e.clone(), label, &[score]);
+                        kernel.insert(e.clone(), label, &record);
                         embeddings.push(e);
                         labels.push(label);
-                        scores.push(score);
+                        for (table, &score) in scores.iter_mut().zip(&record) {
+                            table.push(score);
+                        }
                     }
                     1 => {
                         let i = rng.gen_range(0..n);
-                        kernel.replace(i, e.clone(), label, &[score]);
-                        (embeddings[i], labels[i], scores[i]) = (e, label, score);
+                        kernel.replace(i, e.clone(), label, &record);
+                        (embeddings[i], labels[i]) = (e, label);
+                        for (table, &score) in scores.iter_mut().zip(&record) {
+                            table[i] = score;
+                        }
                     }
                     _ if n > 1 => {
                         let i = rng.gen_range(0..n);
                         kernel.remove(i);
                         embeddings.remove(i);
                         labels.remove(i);
-                        scores.remove(i);
+                        for table in &mut scores {
+                            table.remove(i);
+                        }
                     }
                     _ => {}
                 }
@@ -1226,12 +1330,13 @@ mod tests {
                     embeddings.clone(),
                     labels.clone(),
                     3,
-                    vec![scores.clone()],
+                    scores.clone(),
                     selection.clone(),
                 );
                 let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
                 assert_eq!(bits(&kernel.lanes), bits(&fresh.lanes), "dim {dim}, step {step}");
                 assert_eq!(bits(&kernel.norms), bits(&fresh.norms), "dim {dim}, step {step}");
+                assert_eq!(bits(&kernel.scores), bits(&fresh.scores), "dim {dim}, step {step}");
                 let mut sk = JudgeScratch::new();
                 let mut sf = JudgeScratch::new();
                 for _ in 0..3 {
@@ -1247,11 +1352,83 @@ mod tests {
                     assert_eq!(selected(&sk), selected(&sf), "dim {dim}, step {step}");
                     for scratch in [&mut sk, &mut sf] {
                         scratch.test_scores.clear();
-                        scratch.test_scores.extend_from_slice(&[0.2, 0.5, 0.8]);
+                        for _ in 0..EXPERTS {
+                            scratch.test_scores.extend_from_slice(&[0.2, 0.5, 0.8]);
+                        }
                     }
-                    kernel.p_values_into(0, &mut sk);
-                    fresh.p_values_into(0, &mut sf);
+                    kernel.p_values_all(&mut sk);
+                    fresh.p_values_all(&mut sf);
                     assert_eq!(bits(&sk.p_values), bits(&sf.p_values), "dim {dim}, step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn committee_pass_matches_each_single_expert_reader_and_the_reference() {
+        // Committees of 1 and 4 experts take the widths `p_values_all`
+        // dispatches on; 3 and 5 take the per-expert fallback. Label 3
+        // has no records (an empty run on every selection), and label 2
+        // sits far away, so the partition and pruned selections near the
+        // origin keep none of it.
+        let n = 120;
+        let embeddings: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let x = if i % 3 == 2 { 1.0e3 + i as f64 } else { i as f64 * 0.5 };
+                vec![x, x * 0.25]
+            })
+            .collect();
+        let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
+        let n_labels = 4;
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        for n_experts in [1, 3, 4, 5] {
+            let cal_scores: Vec<Vec<f64>> = (0..n_experts)
+                .map(|e| {
+                    (0..n).map(|i| (i as f64 * (0.37 + 0.21 * e as f64)).sin().abs()).collect()
+                })
+                .collect();
+            // (fraction, min_full_size): keep-all, partition, pruned.
+            for (fraction, min_full_size, pruned) in
+                [(0.5, 1000, false), (0.5, 10, false), (0.1, 10, true)]
+            {
+                let kernel = ScoringKernel::new(
+                    embeddings.clone(),
+                    labels.clone(),
+                    n_labels,
+                    cal_scores.clone(),
+                    SelectionConfig { fraction, min_full_size, tau: 10.0 },
+                );
+                assert_eq!(kernel.uses_pruned_path(), pruned);
+                let mut scratch = JudgeScratch::new();
+                // The last probe is a NaN embedding: every weight is 0.
+                for probe in [[0.0, 0.0], [11.3, 2.9], [f64::NAN, 0.0]] {
+                    kernel.select(&probe, &mut scratch);
+                    // Expert `e`'s row: a NaN test score on label 1 for
+                    // even experts, an exact 0 on label 2 (ties a zero
+                    // weight), and distinct positive scores elsewhere.
+                    let tests: Vec<Vec<f64>> = (0..n_experts)
+                        .map(|e| {
+                            let nan_or = |x: f64| if e % 2 == 0 { f64::NAN } else { x };
+                            vec![0.05 + 0.1 * e as f64, nan_or(0.3), 0.0, 0.4]
+                        })
+                        .collect();
+                    scratch.test_scores = tests.concat();
+                    kernel.p_values_all(&mut scratch);
+                    let all = scratch.p_values.clone();
+                    assert_eq!(all.len(), n_experts * n_labels);
+                    let case = format!("{n_experts} experts, fraction {fraction}, min_full {min_full_size}, probe {probe:?}");
+                    for (e, ts) in tests.iter().enumerate() {
+                        let row = &all[e * n_labels..(e + 1) * n_labels];
+                        scratch.test_scores.clone_from(ts);
+                        kernel.p_values_into(e, &mut scratch);
+                        assert_eq!(bits(&scratch.p_values), bits(row), "{case}, expert {e}");
+                        let reference = reference_p_values(&kernel, e, &probe, ts);
+                        assert_eq!(bits(row), bits(&reference), "{case}, expert {e}");
+                        assert_eq!(row[3], 0.0, "empty run, {case}, expert {e}");
+                        if e % 2 == 0 {
+                            assert_eq!(row[1], 0.0, "NaN test score, {case}, expert {e}");
+                        }
+                    }
                 }
             }
         }
@@ -1354,7 +1531,7 @@ mod tests {
                 let want: Vec<(u32, u64)> =
                     single.selected.iter().map(|&(i, w)| (i, w.to_bits())).collect();
                 assert_eq!(got, want, "fraction {fraction}, query {j}");
-                assert_eq!(blocked.by_label, single.by_label, "fraction {fraction}, query {j}");
+                assert_eq!(blocked.label_ends, single.label_ends, "fraction {fraction}, query {j}");
             }
         }
     }
@@ -1507,7 +1684,7 @@ mod tests {
             let mut grown = kernel_fixture(40, min_full);
             for i in 40..60 {
                 let scores: Vec<f64> =
-                    (0..full.n_experts()).map(|e| full.cal_scores[e][i]).collect();
+                    (0..full.n_experts()).map(|e| score_of(&full, i, e)).collect();
                 grown.insert(full.embedding(i), full.labels()[i], &scores);
             }
             assert_eq!(grown.n_records(), full.n_records());
@@ -1537,8 +1714,8 @@ mod tests {
         kernel.replace(3, vec![99.0], 2, &[0.11, 0.22]);
         assert_eq!(kernel.embedding(3), &[99.0]);
         assert_eq!(kernel.labels()[3], 2);
-        assert_eq!(kernel.cal_scores[0][3], 0.11);
-        assert_eq!(kernel.cal_scores[1][3], 0.22);
+        assert_eq!(score_of(&kernel, 3, 0), 0.11);
+        assert_eq!(score_of(&kernel, 3, 1), 0.22);
         assert_eq!(kernel.n_records(), 10, "replace must not grow the kernel");
     }
 
