@@ -1,20 +1,12 @@
 //! Offline stand-in for the slice of `crossbeam` this workspace uses:
-//! [`thread::scope`] with `scope.spawn(|_| ...)` closures, and the
-//! [`channel`] module's MPMC channels — `unbounded` (the transport of
-//! `prom_core::pool::ShardPool`'s shared job queue) and `bounded` (the
-//! admission/backpressure primitive of `prom_core::serving`).
-//!
-//! Scoped threads are backed by [`std::thread::scope`] (stable since Rust
-//! 1.63, which post-dates crossbeam's scoped threads). One behavioural
-//! difference: a panicking child thread re-raises at the end of the scope
-//! instead of surfacing as `Err`, so the `Result` returned here is always
-//! `Ok` — fine for the workspace, which only ever `.expect()`s it.
+//! the [`channel`] module's MPMC channels — `bounded`, the
+//! admission/backpressure primitive of `prom_core::serving`, and
+//! `unbounded`. Scoped threads come from [`std::thread::scope`] instead.
 //!
 //! Channels are a from-scratch `Mutex<VecDeque>` + two-`Condvar` queue —
-//! unlike the std `mpsc` the earlier revisions wrapped, both halves are
-//! cloneable (**multi-producer, multi-consumer**, which the shard pool's
-//! shared worker queue and the serving front-end's many producer handles
-//! both need) and a capacity bound turns `send` into a blocking
+//! unlike std `mpsc`, both halves are cloneable (**multi-producer,
+//! multi-consumer**; the serving front-end hands out many producer
+//! handles) and a capacity bound turns `send` into a blocking
 //! backpressure point with a non-blocking `try_send` escape. Two
 //! divergences from real crossbeam, neither used by the workspace:
 //! rendezvous channels (`bounded(0)`) are not supported, and `select!`
@@ -31,8 +23,7 @@ pub mod channel {
     /// dropped; gives the unsent value back.
     pub struct SendError<T>(pub T);
 
-    // Manual impls so `T` needs no bounds (a job type holding raw
-    // pointers is neither Debug nor PartialEq).
+    // Manual impl so `T` needs no bounds.
     impl<T> std::fmt::Debug for SendError<T> {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             f.write_str("SendError(..)")
@@ -108,9 +99,7 @@ pub mod channel {
     impl<T> Shared<T> {
         /// Locks the state; a poisoned lock is taken anyway — the queue
         /// holds plain values and both counters are only touched under
-        /// the lock, so there is no broken invariant to protect (the
-        /// workspace's shard workers run jobs under `catch_unwind` and
-        /// never panic while holding this lock in the first place).
+        /// the lock, so there is no broken invariant to protect.
         fn lock(&self) -> MutexGuard<'_, Inner<T>> {
             self.inner.lock().unwrap_or_else(PoisonError::into_inner)
         }
@@ -249,8 +238,7 @@ pub mod channel {
     }
 
     /// The receiving half. Cloneable (multi-consumer): every queued value
-    /// is delivered to exactly **one** receiver — the work-queue
-    /// semantics the shard pool's shared worker queue relies on.
+    /// is delivered to exactly **one** receiver (work-queue semantics).
     pub struct Receiver<T> {
         shared: Arc<Shared<T>>,
     }
@@ -281,8 +269,8 @@ pub mod channel {
         /// # Errors
         ///
         /// Returns [`RecvError`] when every sender has been dropped and
-        /// the queue is drained — the shutdown signal the pool's workers
-        /// and the serving collator both drain on.
+        /// the queue is drained — the shutdown signal the serving
+        /// collator drains on.
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut inner = self.shared.lock();
             loop {
@@ -363,59 +351,9 @@ pub mod channel {
     }
 }
 
-/// Scoped threads (mirrors `crossbeam::thread`).
-pub mod thread {
-    use std::convert::Infallible;
-
-    /// Handle passed to the [`scope`] closure; spawns borrowing threads.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a thread that may borrow from outside the scope. The
-        /// closure receives the scope handle (unused by this workspace,
-        /// present for crossbeam API compatibility).
-        pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-        where
-            F: for<'a> FnOnce(&'a Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            inner.spawn(move || f(&Scope { inner }))
-        }
-    }
-
-    /// Runs `f` with a scope handle; all spawned threads are joined before
-    /// this returns.
-    ///
-    /// # Errors
-    ///
-    /// Always `Ok` (see crate docs); the `Result` mirrors crossbeam's API.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Infallible>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::{bounded, unbounded, TryRecvError, TrySendError};
-
-    #[test]
-    fn scope_joins_borrowing_threads() {
-        let data = [1, 2, 3];
-        let sums = std::sync::Mutex::new(Vec::new());
-        super::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|_| sums.lock().unwrap().push(data.iter().sum::<i32>()));
-            }
-        })
-        .expect("scope");
-        assert_eq!(sums.into_inner().unwrap(), vec![6, 6, 6]);
-    }
 
     #[test]
     fn unbounded_channel_delivers_in_order_across_threads() {
@@ -491,21 +429,6 @@ mod tests {
         drop(rx);
         let err = tx.send_with(|| 42).unwrap_err();
         assert_eq!(err.0, 42);
-    }
-
-    #[test]
-    fn nested_spawn_through_handle() {
-        let hit = std::sync::atomic::AtomicUsize::new(0);
-        super::thread::scope(|s| {
-            s.spawn(|inner| {
-                hit.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                inner.spawn(|_| {
-                    hit.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                });
-            });
-        })
-        .expect("scope");
-        assert_eq!(hit.into_inner(), 2);
     }
 
     #[test]

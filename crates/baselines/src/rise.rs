@@ -152,7 +152,7 @@ struct RiseSnapshot {
 /// credibility (p-value of the predicted label), confidence (1 - the
 /// runner-up p-value), and the prediction-set size as an auxiliary signal.
 /// `test_scores` and `p_values` are reusable work buffers (a batched
-/// deployment window — or a persistent shard worker's whole lifetime —
+/// deployment window — or every window a pool shard judges —
 /// computes per-sample features without per-sample allocation).
 fn score_features_into(
     table: &ScoreTable,
@@ -207,9 +207,9 @@ impl DriftDetector for Rise {
         self.judge_batch_scratch(samples, &mut scratch)
     }
 
-    /// Pool entry point: the batched path over the shard worker's
-    /// long-lived scratch — its `test_scores`/`p_values` buffers carry the
-    /// score features, so a worker never re-grows them between windows.
+    /// Pool entry point: the batched path over the shard's reused
+    /// scratch — its `test_scores`/`p_values` buffers carry the score
+    /// features, so a shard never re-grows them between windows.
     /// Bit-identical to `judge_batch`.
     fn judge_batch_scratch(
         &self,

@@ -62,7 +62,7 @@ fn stream(n: usize) -> Vec<Sample> {
 }
 
 /// N-detector fan-out vs N sequential stream replays, both windowed and
-/// judging on persistent shard workers. The
+/// judging on a shard pool. The
 /// acceptance gate for the fan-out is `fanout_3x` beating `replay_3x`.
 fn bench_multi_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("multi_pipeline");

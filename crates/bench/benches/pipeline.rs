@@ -1,4 +1,4 @@
-//! Deployment-pipeline throughput benchmarks: sharded parallel judging vs
+//! Deployment-pipeline throughput benchmarks: `ShardPool` judging vs
 //! sequential `judge_batch` on a 100k-sample stream (the heavy-traffic
 //! scale of the ROADMAP north star). The parallel and sequential paths
 //! return bit-identical judgements (`tests/batch_equivalence.rs`); the
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use prom_core::calibration::CalibrationRecord;
 use prom_core::committee::PromConfig;
 use prom_core::detector::{DriftDetector, Sample};
-use prom_core::pipeline::{available_shards, judge_sharded, DeploymentPipeline, PipelineConfig};
+use prom_core::pipeline::{available_shards, DeploymentPipeline, PipelineConfig};
 use prom_core::pool::ShardPool;
 use prom_core::predictor::PromClassifier;
 use prom_ml::rng::{gaussian_with, rng_from_seed};
@@ -73,9 +73,10 @@ fn bench_par_vs_seq(c: &mut Criterion) {
         shard_counts.push(available_shards());
     }
     for shards in shard_counts {
+        let pool = ShardPool::new(shards);
         group.bench_function(format!("sharded_{shards}_100k"), |b| {
             b.iter(|| {
-                let judgements = judge_sharded(det, &samples, shards);
+                let judgements = pool.judge(det, &samples);
                 std::hint::black_box(judgements.iter().filter(|j| !j.accepted).count())
             })
         });
@@ -83,46 +84,38 @@ fn bench_par_vs_seq(c: &mut Criterion) {
     group.finish();
 }
 
-/// Persistent pool vs per-window scoped spawning on the same windowed
-/// 100k stream: both judge every window at `available_shards()`-way
-/// parallelism with bit-identical results
-/// (`tests/pipeline_equivalence.rs`); the delta is thread churn plus
-/// per-window scratch regrowth, which the pool's long-lived workers
-/// amortize away. The gate for the pool rewrite is `pool_100k` no slower
-/// than `scoped_100k`.
-fn bench_pool_vs_scoped(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pool_vs_scoped");
+/// The shard executor's per-window cost: the 100k stream judged window by
+/// window through one `available_shards()`-way pool, at windows from 64
+/// to 8192 samples, beside one sequential `judge_batch` over the stream.
+/// Every window spawns its scoped threads afresh, so the small windows
+/// show what that costs (`tests/pipeline_equivalence.rs` proves the
+/// results bit-identical).
+fn bench_pool_windows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool_windows");
     group.sample_size(10);
     let prom = PromClassifier::new(calibration(256), PromConfig::default()).unwrap();
     let det: &dyn DriftDetector = &prom;
     let samples = stream(STREAM_LEN);
-    let shards = available_shards();
-    const WINDOW: usize = 8192;
 
-    group.bench_function("scoped_100k", |b| {
+    group.bench_function("sequential_100k", |b| {
         b.iter(|| {
-            let mut rejected = 0usize;
-            for window in samples.chunks(WINDOW) {
-                let judgements = judge_sharded(det, window, shards);
-                rejected += judgements.iter().filter(|j| !j.accepted).count();
-            }
-            std::hint::black_box(rejected)
+            let judgements = det.judge_batch(&samples);
+            std::hint::black_box(judgements.iter().filter(|j| !j.accepted).count())
         })
     });
-    // The pool outlives the iterations: worker threads and their
-    // scratches are reused across every window of every iteration,
-    // exactly like a long-running deployment.
-    let pool = ShardPool::new(shards);
-    group.bench_function("pool_100k", |b| {
-        b.iter(|| {
-            let mut rejected = 0usize;
-            for window in samples.chunks(WINDOW) {
-                let judgements = pool.judge(det, window);
-                rejected += judgements.iter().filter(|j| !j.accepted).count();
-            }
-            std::hint::black_box(rejected)
-        })
-    });
+    let pool = ShardPool::new(available_shards());
+    for window in [64, 256, 1024, 8192] {
+        group.bench_function(format!("pool_{window}_100k"), |b| {
+            b.iter(|| {
+                let mut rejected = 0usize;
+                for chunk in samples.chunks(window) {
+                    let judgements = pool.judge(det, chunk);
+                    rejected += judgements.iter().filter(|j| !j.accepted).count();
+                }
+                std::hint::black_box(rejected)
+            })
+        });
+    }
     group.finish();
 }
 
@@ -154,5 +147,5 @@ fn bench_stream_100k(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_par_vs_seq, bench_pool_vs_scoped, bench_stream_100k);
+criterion_group!(benches, bench_par_vs_seq, bench_pool_windows, bench_stream_100k);
 criterion_main!(benches);

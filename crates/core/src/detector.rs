@@ -144,10 +144,9 @@ pub trait DriftDetector: Send + Sync {
     }
 
     /// Judges a window with a **caller-owned** scratch — the trait-level
-    /// entry point of the persistent shard-worker pool
-    /// (`prom_core::pool::ShardPool`), where each long-lived worker thread
-    /// owns one [`JudgeScratch`] and reuses it across every window it ever
-    /// judges instead of re-growing buffers per window.
+    /// entry point of the shard executor (`prom_core::pool::ShardPool`),
+    /// which owns one [`JudgeScratch`] per shard and reuses it across
+    /// every window instead of re-growing buffers per window.
     ///
     /// The default ignores the scratch and delegates to
     /// [`DriftDetector::judge_batch`] (correct for detectors whose judging
@@ -172,12 +171,9 @@ pub trait DriftDetector: Send + Sync {
     /// support is a property of the detector, so the answer is the same
     /// for every window, empty ones included.
     ///
-    /// This unifies what used to be two sharding paths (a flat
-    /// `judge_sharded` helper and a rich `map_sharded` closure) behind one
-    /// trait-level batched API: the pool's shard workers drive either form
-    /// through the same owned scratch, and the rich form lets deployment
-    /// callers rank relabels by credibility instead of reject-vote
-    /// fraction.
+    /// The pool's shards drive either form through the same per-shard
+    /// scratch, and the rich form lets deployment callers rank relabels
+    /// by credibility instead of reject-vote fraction.
     fn judge_batch_rich_scratch(
         &self,
         samples: &[Sample],

@@ -61,6 +61,7 @@
 //! assert!(!drifted.accepted);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -6,16 +6,12 @@
 //! judging itself becomes the bottleneck, so this module adds the layer
 //! above the batch API:
 //!
-//! * [`crate::pool::ShardPool`] — the execution layer: persistent shard
-//!   workers (long-lived threads, each owning one reusable `JudgeScratch`)
-//!   judge every window; results are stitched in input order, so pooled
-//!   judging is **bit-identical** to a single sequential `judge_batch`
-//!   call (`tests/pipeline_equivalence.rs` proves pool == scoped threads
-//!   == sequential for all five detectors).
-//! * [`map_sharded`] / [`judge_sharded`] — the original per-window
-//!   scoped-thread form, kept as the independent *reference
-//!   implementation* the equivalence tier compares the pool against
-//!   (`tests/batch_equivalence.rs` asserts it equals sequential judging).
+//! * [`crate::pool::ShardPool`] — the execution layer: each window is
+//!   split into contiguous chunks judged in parallel on scoped threads,
+//!   each chunk with one reusable per-shard `JudgeScratch`; results are
+//!   stitched in input order, so pooled judging is **bit-identical** to a
+//!   single sequential `judge_batch` call (`tests/pipeline_equivalence.rs`
+//!   proves pool == sequential for all five detectors).
 //! * [`MultiPipeline`] — the one window engine: `push` samples as they
 //!   arrive into one stream fanned out to N ≥ 1 registered detectors, and
 //!   every full window is judged (inline on the caller, or on one shared
@@ -42,8 +38,6 @@
 //!   `absorb_relabeled` / `replace_record` overrides, so no window pays a
 //!   full recalibration rebuild (see `benches/recalibration.rs`).
 
-#![forbid(unsafe_code)]
-
 use std::sync::Arc;
 
 use crate::calibration::{ReservoirCalibration, ReservoirDecision, ReservoirSnapshot};
@@ -65,66 +59,6 @@ const RICH_IS_GLOBAL: &str = "rich-judgement support is a detector-global proper
 /// it cannot be queried).
 pub fn available_shards() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Splits `samples` into at most `n_shards` contiguous chunks, maps each
-/// chunk with `judge_window` on its own scoped thread, and concatenates the
-/// results in input order.
-///
-/// `judge_window` must return exactly one result per input sample (as every
-/// `judge_batch` does); order within a chunk is preserved and chunks are
-/// stitched in input order, so `map_sharded(s, k, f)` equals `f(s)`
-/// element-for-element regardless of `k`. A shard count of 0 or 1 — or a
-/// window smaller than the shard count — degrades gracefully (each shard
-/// judges at least one sample; a single shard runs inline without
-/// spawning).
-///
-/// # Panics
-///
-/// Panics if `judge_window` returns a different number of results than it
-/// was given samples, or if a shard thread panics.
-pub fn map_sharded<T, F>(samples: &[Sample], n_shards: usize, judge_window: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&[Sample]) -> Vec<T> + Sync,
-{
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let shards = n_shards.clamp(1, samples.len());
-    let out = if shards == 1 {
-        judge_window(samples)
-    } else {
-        let chunk = samples.len().div_ceil(shards);
-        let mut stitched = Vec::with_capacity(samples.len());
-        crossbeam::thread::scope(|scope| {
-            let judge_window = &judge_window;
-            let handles: Vec<_> = samples
-                .chunks(chunk)
-                .map(|shard| scope.spawn(move |_| judge_window(shard)))
-                .collect();
-            // Joining in spawn order stitches shard results back in input
-            // order.
-            for handle in handles {
-                stitched.extend(handle.join().expect("shard thread panicked"));
-            }
-        })
-        .expect("shard scope panicked");
-        stitched
-    };
-    assert_eq!(out.len(), samples.len(), "judge_window must return one result per sample");
-    out
-}
-
-/// Judges a window through [`DriftDetector::judge_batch`] across `n_shards`
-/// scoped threads. Bit-identical to `detector.judge_batch(samples)` (see
-/// [`map_sharded`]).
-pub fn judge_sharded<D: DriftDetector + ?Sized>(
-    detector: &D,
-    samples: &[Sample],
-    n_shards: usize,
-) -> Vec<Judgement> {
-    map_sharded(samples, n_shards, |shard| detector.judge_batch(shard))
 }
 
 /// How an *online* pipeline maintains the detector's live calibration set
@@ -233,10 +167,10 @@ pub struct PipelineConfig {
     /// Samples per window: a full window is judged and reported as one
     /// unit. Must be at least 1.
     pub window: usize,
-    /// Persistent shard workers judging each window. At 2 or more the
-    /// pipeline owns a [`ShardPool`] and the push that fills a window
-    /// waits while the workers judge its chunks; 0 and 1 both mean
-    /// judging on the caller thread, with no worker at all.
+    /// Shards judging each window. At 2 or more the pipeline owns a
+    /// [`ShardPool`] and the push that fills a window waits while scoped
+    /// threads judge its chunks; 0 and 1 both mean judging on the caller
+    /// thread, with no extra thread at all.
     pub shards: usize,
     /// Relabeling budget applied to each window's rejects.
     pub budget: RelabelBudget,
@@ -1089,7 +1023,7 @@ pub type MultiWindowHook<'a> = Box<dyn FnMut(&MultiReport, &[Sample]) + Send + '
 /// the label oracle is a pure function of `(global index, sample)`.
 ///
 /// A pool is built only when `shards ≥ 2`. Otherwise every window is
-/// judged inline with one scratch owned by the pipeline — no worker
+/// judged inline with one scratch owned by the pipeline — no extra
 /// thread, no cross-thread handoff. Either way the push that fills a
 /// window returns that window's reports.
 ///
@@ -1121,7 +1055,7 @@ pub type MultiWindowHook<'a> = Box<dyn FnMut(&MultiReport, &[Sample]) + Send + '
 /// assert!(pipeline.flush().is_none(), "nothing left buffered");
 /// ```
 pub struct MultiPipeline<'a> {
-    /// The shared persistent shard workers (absent when every window is
+    /// The shared shard executor (absent when every window is
     /// judged inline on the caller thread).
     pool: Option<ShardPool>,
     states: Vec<DetectorState<'a>>,
@@ -1486,7 +1420,7 @@ impl<'a> MultiPipeline<'a> {
 /// Judges a window to completion for every detector, in the form each
 /// detector's selection policy picked at construction: on the caller
 /// thread with the pipeline's one scratch, or split across `pool`'s
-/// workers, which [`ShardPool::map`] stitches back bit-identically.
+/// shards, which [`ShardPool::map`] stitches back bit-identically.
 fn judge_window(
     states: &[DetectorState<'_>],
     fused: Option<&FusedFanout<'_>>,
@@ -1523,7 +1457,7 @@ fn judge_window(
         .collect()
 }
 
-/// Runs one window through `f`: across `pool`'s workers when there is a
+/// Runs one window through `f`: across `pool`'s shards when there is a
 /// pool, else directly with the caller's scratch.
 fn map_window<T: Send>(
     pool: Option<&ShardPool>,
@@ -1561,40 +1495,6 @@ mod tests {
                 Sample::new(vec![i as f64], vec![conf, 1.0 - conf])
             })
             .collect()
-    }
-
-    #[test]
-    fn sharded_judging_matches_sequential_for_any_shard_count() {
-        let det = Threshold;
-        let samples = stream(53);
-        let sequential = det.judge_batch(&samples);
-        for shards in [0, 1, 2, 3, 7, 16, 64, 1000] {
-            assert_eq!(judge_sharded(&det, &samples, shards), sequential, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_judging_handles_degenerate_windows() {
-        let det = Threshold;
-        assert!(judge_sharded(&det, &[], 8).is_empty());
-        let one = stream(1);
-        assert_eq!(judge_sharded(&det, &one, 8), det.judge_batch(&one));
-    }
-
-    #[test]
-    fn map_sharded_preserves_input_order() {
-        let samples = stream(100);
-        let ids = map_sharded(&samples, 7, |shard| {
-            shard.iter().map(|s| s.embedding[0] as usize).collect()
-        });
-        assert_eq!(ids, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "one result per sample")]
-    fn short_judge_window_results_panic() {
-        let samples = stream(4);
-        let _ = map_sharded(&samples, 1, |_| vec![0usize]);
     }
 
     #[test]

@@ -184,8 +184,8 @@ impl PromClassifier {
     }
 
     /// The shard entry point of the parallel deployment pipeline: judges a
-    /// window with a **caller-owned** scratch, so a long-lived shard thread
-    /// can reuse one [`JudgeScratch`] (which is `Send`) across every window
+    /// window with a **caller-owned** scratch, so a pool shard can
+    /// reuse one [`JudgeScratch`] (which is `Send`) across every window
     /// it judges instead of re-growing buffers per window. Judgements are
     /// identical to [`PromClassifier::judge_batch_with`] — the scratch is
     /// stateless between samples.
@@ -578,7 +578,7 @@ impl DriftDetector for PromClassifier {
         self.judge_batch(samples).into_iter().map(Judgement::from).collect()
     }
 
-    /// Pool entry point: judge with the worker's long-lived scratch under
+    /// Pool entry point: judge with the shard's reused scratch under
     /// the stored configuration. Bit-identical to `judge_batch`.
     fn judge_batch_scratch(
         &self,

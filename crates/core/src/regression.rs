@@ -327,8 +327,8 @@ impl PromRegressor {
     /// The shard entry point of the parallel deployment pipeline (the
     /// regression twin of [`PromClassifier::judge_batch_scratch`]): judges
     /// a window with one caller-owned scratch — whose `neighbours` field
-    /// doubles as the k-NN buffer — so a long-lived shard worker reuses
-    /// one `Send` scratch across every window it ever judges. Judgements
+    /// doubles as the k-NN buffer — so a pool shard reuses one `Send`
+    /// scratch across every window it judges. Judgements
     /// are identical to [`PromRegressor::judge_batch`].
     ///
     /// [`PromClassifier::judge_batch_scratch`]:
@@ -645,7 +645,7 @@ impl DriftDetector for PromRegressor {
         self.judge_batch(samples).into_iter().map(Judgement::from).collect()
     }
 
-    /// Pool entry point: judge with the worker's long-lived scratch (its
+    /// Pool entry point: judge with the shard's reused scratch (its
     /// `neighbours` field carries the k-NN buffer). Bit-identical to
     /// `judge_batch`.
     fn judge_batch_scratch(

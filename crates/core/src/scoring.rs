@@ -283,7 +283,7 @@ pub struct JudgeScratch {
     /// [`ScoringKernel::p_values_all`] / [`ScoringKernel::p_values_into`].
     pub p_values: Vec<f64>,
     /// k-NN record indices; output of [`ScoringKernel::nearest`]. Carried
-    /// here so the one scratch a persistent shard worker owns covers the
+    /// here so the one scratch a pool shard owns covers the
     /// regression path's neighbour buffer too.
     pub neighbours: Vec<usize>,
 }

@@ -52,8 +52,6 @@
 //! the submission order, so the whole front-end is deterministic
 //! end-to-end.
 
-#![forbid(unsafe_code)]
-
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -35,9 +35,8 @@ pub struct BaselineComparison {
     pub methods: Vec<(String, DetectionStats)>,
 }
 
-/// Judges the shared stream with one detector — on a persistent
-/// [`ShardPool`] whose workers each reuse one scratch across their shards
-/// (bit-identical to a single sequential `judge_batch`, see
+/// Judges the shared stream with one detector — on a [`ShardPool`],
+/// one scratch per shard (bit-identical to a single sequential `judge_batch`, see
 /// `prom_core::pool`; the stream is already materialized, so the windowed
 /// `push`/`flush` front-end and its per-sample clones would be pure
 /// overhead here) — and scores the reject decisions against misprediction
@@ -191,8 +190,7 @@ pub fn compare_detectors(config: &ScenarioConfig) -> BaselineComparison {
 
     // One multi-detector pipeline for the whole comparison: every
     // detector judges the shared stream in one fan-out pass on the same
-    // persistent workers (the stream is ingested once, not once per
-    // detector).
+    // shard pool (the stream is ingested once, not once per detector).
     let names: Vec<String> = detectors.iter().map(|d| d.name().to_string()).collect();
     let stats = evaluate_detectors(&detectors, &stream, &mispredicted);
     let methods = names.into_iter().zip(stats).collect();

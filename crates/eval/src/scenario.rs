@@ -248,10 +248,10 @@ pub fn misprediction_flags(samples: &[CodeSample], stream: &[Sample]) -> Vec<boo
 }
 
 /// Judges a deployment stream with Prom, keeping the rich per-expert
-/// judgements, on a persistent shard-worker pool: each worker runs the
-/// batched hot path over a contiguous slice with its own long-lived
-/// scratch, and the stitched result is bit-identical to one sequential
-/// `judge_batch` call (see `prom_core::pool`).
+/// judgements, on a [`ShardPool`]: each shard runs the batched hot path
+/// over a contiguous slice with its own scratch, and the stitched result
+/// is bit-identical to one sequential `judge_batch` call (see
+/// `prom_core::pool`).
 pub fn judge_stream_parallel(prom: &PromClassifier, stream: &[Sample]) -> Vec<PromJudgement> {
     ShardPool::with_available_parallelism()
         .judge_rich(prom, stream)

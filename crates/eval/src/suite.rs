@@ -89,16 +89,15 @@ pub fn run_all_classification(scale: SuiteScale) -> Vec<ScenarioResult> {
         }
     }
     let results = Mutex::new(Vec::with_capacity(jobs.len()));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (i, job) in jobs.iter().enumerate() {
             let results = &results;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let r = run_scenario(job);
                 results.lock().push((i, r));
             });
         }
-    })
-    .expect("scenario thread panicked");
+    });
     let mut collected = results.into_inner();
     collected.sort_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
@@ -119,16 +118,15 @@ pub fn run_baseline_suite(scale: SuiteScale) -> Vec<BaselineComparison> {
         }
     }
     let results = Mutex::new(Vec::with_capacity(jobs.len()));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (i, job) in jobs.iter().enumerate() {
             let results = &results;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let r = compare_detectors(job);
                 results.lock().push((i, r));
             });
         }
-    })
-    .expect("baseline thread panicked");
+    });
     let mut collected = results.into_inner();
     collected.sort_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
@@ -160,8 +158,8 @@ pub fn run_ncm_ablation(config: &ScenarioConfig) -> Vec<(String, DetectionStats)
         .collect();
 
     // One multi-detector fan-out for the whole ablation: every committee
-    // variant judges the shared stream in one pass on the same persistent
-    // workers (the stream is ingested once, not once per variant).
+    // variant judges the shared stream in one pass on the same shard pool
+    // (the stream is ingested once, not once per variant).
     let (names, detectors): (Vec<String>, Vec<&dyn DriftDetector>) = single_expert
         .iter()
         .map(|(name, prom)| (name.clone(), prom as &dyn DriftDetector))

@@ -9,8 +9,8 @@
 //! 1. build a Prom detector from an in-distribution calibration set;
 //! 2. stream everything through **one online pipeline** under
 //!    `CalibrationPolicy::Reservoir`: every window is judged by the
-//!    persistent shard-worker pool (long-lived threads, each reusing one
-//!    scratch for the whole run) inside the `push` that fills it — its
+//!    shard pool (scoped threads, each shard reusing one scratch for the
+//!    whole run) inside the `push` that fills it — its
 //!    budgeted relabel picks are labeled by the oracle (the "ask an expert" step), and the picks are folded
 //!    straight into the detector's live calibration set by incremental
 //!    insert/replace — no full recalibration rebuild anywhere;
@@ -36,6 +36,7 @@ use prom::core::detector::{DriftDetector, Sample, Truth};
 use prom::core::pipeline::{
     available_shards, CalibrationPolicy, DeploymentPipeline, PipelineConfig,
 };
+use prom::core::pool::ShardPool;
 use prom::core::predictor::PromClassifier;
 
 const N_CLASSES: usize = 3;
@@ -191,7 +192,7 @@ fn main() {
     // Sanity: sharded and sequential judging agree bit-for-bit.
     let det: &dyn DriftDetector = &prom;
     assert_eq!(
-        prom::core::pipeline::judge_sharded(det, &probe, available_shards()),
+        ShardPool::new(available_shards()).judge(det, &probe),
         det.judge_batch(&probe),
         "parallel judging must be bit-identical to sequential"
     );

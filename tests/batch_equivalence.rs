@@ -2,7 +2,7 @@
 //! `PromClassifier`, `PromRegressor`, and the three prior-work baselines —
 //! `judge_batch` must return **bit-identical** judgements to looping
 //! `judge_one` over the same stream, and sharded parallel judging
-//! (`prom::core::pipeline::judge_sharded`) must return bit-identical
+//! (`prom::core::pool::ShardPool`) must return bit-identical
 //! judgements to sequential `judge_batch` for every shard count. The
 //! batched and parallel paths exist purely to amortize and parallelize
 //! per-call work; they must never change a decision.
@@ -15,7 +15,7 @@ use prom::baselines::{NaiveCp, Rise, Tesseract};
 use prom::core::calibration::CalibrationRecord;
 use prom::core::committee::PromConfig;
 use prom::core::detector::{DriftDetector, Judgement, Sample};
-use prom::core::pipeline::{judge_sharded, map_sharded};
+use prom::core::pool::ShardPool;
 use prom::core::predictor::PromClassifier;
 use prom::core::regression::{ClusterChoice, PromRegressor, PromRegressorConfig, RegressionRecord};
 use prom::ml::rng::{gaussian_with, rng_from_seed};
@@ -83,7 +83,8 @@ fn shard_counts() -> [usize; 4] {
 fn assert_parallel_equivalence(detector: &dyn DriftDetector, stream: &[Sample]) {
     let sequential = detector.judge_batch(stream);
     for shards in shard_counts() {
-        let parallel = judge_sharded(detector, stream, shards);
+        let pool = ShardPool::new(shards);
+        let parallel = pool.judge(detector, stream);
         assert_eq!(
             parallel,
             sequential,
@@ -91,9 +92,9 @@ fn assert_parallel_equivalence(detector: &dyn DriftDetector, stream: &[Sample]) 
             detector.name()
         );
         // Empty and single-sample windows must also hold.
-        assert!(judge_sharded(detector, &[], shards).is_empty(), "{}", detector.name());
+        assert!(pool.judge(detector, &[]).is_empty(), "{}", detector.name());
         assert_eq!(
-            judge_sharded(detector, &stream[..1], shards),
+            pool.judge(detector, &stream[..1]),
             sequential[..1],
             "{}: single-sample window diverges at {shards} shards",
             detector.name()
@@ -210,12 +211,12 @@ fn all_five_detectors_judge_identically_across_shard_counts() {
 fn rich_judgements_are_bitwise_identical_across_shards() {
     // The flat `Judgement` carries no floats; assert the full per-expert
     // credibility/confidence bits survive sharding on the rich path the
-    // eval harness uses (`map_sharded` over `PromClassifier::judge_batch`).
+    // eval harness uses (`ShardPool::map` over `PromClassifier::judge_batch`).
     let prom = PromClassifier::new(classification_records(400, 11), PromConfig::default()).unwrap();
     let stream = classification_stream(61, 11);
     let sequential = prom.judge_batch(&stream);
     for shards in shard_counts() {
-        let parallel = map_sharded(&stream, shards, |chunk| prom.judge_batch(chunk));
+        let parallel = ShardPool::new(shards).map(&stream, |chunk, _| prom.judge_batch(chunk));
         assert_eq!(parallel.len(), sequential.len());
         for (i, (p, s)) in parallel.iter().zip(sequential.iter()).enumerate() {
             assert_eq!(p.accepted, s.accepted, "sample {i}, {shards} shards");

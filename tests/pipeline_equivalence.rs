@@ -1,13 +1,12 @@
-//! Pipeline equivalence: the persistent shard-worker pool
+//! Pipeline equivalence: the shard executor
 //! (`prom::core::pool::ShardPool`) and the sharded `DeploymentPipeline`
 //! built on it exist purely to parallelize work — they must never change
 //! an output. This tier proves,
 //! for every detector in the workspace and across shard counts
 //! {1, 2, 7, #cpus}:
 //!
-//! * **pool == scoped threads == sequential**, bit-for-bit, on the flat
-//!   `Judgement` path (the scoped `judge_sharded` from PR 2 is kept as an
-//!   independent reference implementation) and on the rich
+//! * **pool == sequential**, bit-for-bit, on the flat `Judgement` path
+//!   (sequential `judge_batch` is the reference) and on the rich
 //!   `PromJudgement` path (per-expert credibility/confidence bits);
 //! * **windowed reports are mode-independent**: a pooled
 //!   `DeploymentPipeline` produces byte-identical
@@ -18,9 +17,9 @@
 //!   `CalibrationPolicy::Reservoir { cap, seed }` the reports *and the
 //!   detector's post-run live calibration set* come out bit-identical,
 //!   for every detector's incremental absorb/replace path;
-//! * **panic hygiene**: a panicking judgement inside a shard worker
-//!   surfaces on the caller thread (no deadlocked channel, no dead
-//!   worker, no half-judged window corrupting later ones);
+//! * **panic hygiene**: a panicking judgement inside a shard surfaces on
+//!   the caller thread (no hang, no half-judged window corrupting later
+//!   ones, the pool still usable);
 //! * **(proptest)** arbitrarily interleaved `push`/`flush` at any shard
 //!   count judges every pushed sample exactly once, in input order;
 //! * **multi-detector fan-out changes nothing**: a `MultiPipeline` over N
@@ -49,8 +48,8 @@ use prom::core::committee::PromConfig;
 use prom::core::detector::{DriftDetector, Judgement, Sample, Truth};
 use prom::core::incremental::{select_flagged, select_for_relabeling, RelabelBudget};
 use prom::core::pipeline::{
-    available_shards, judge_sharded, CalibrationPolicy, DeploymentPipeline, MultiPipeline,
-    MultiReport, PipelineConfig, SelectionPolicy, WindowReport,
+    available_shards, CalibrationPolicy, DeploymentPipeline, MultiPipeline, MultiReport,
+    PipelineConfig, SelectionPolicy, WindowReport,
 };
 use prom::core::pool::ShardPool;
 use prom::core::predictor::PromClassifier;
@@ -135,21 +134,21 @@ fn regression_stream(n: usize) -> Vec<Sample> {
         .collect()
 }
 
-/// pool == scoped threads == sequential, for one detector and stream.
+/// pool == sequential, for one detector and stream.
 fn assert_pool_equivalence(detector: &dyn DriftDetector, stream: &[Sample]) {
     let sequential = detector.judge_batch(stream);
     assert!(sequential.iter().any(|j| j.accepted), "{}: nothing accepted", detector.name());
     assert!(sequential.iter().any(|j| !j.accepted), "{}: nothing rejected", detector.name());
     for shards in shard_counts() {
-        let scoped = judge_sharded(detector, stream, shards);
+        let fresh = ShardPool::new(shards).judge(detector, stream);
         assert_eq!(
-            scoped,
+            fresh,
             sequential,
-            "{}: scoped reference diverges at {shards} shards",
+            "{}: fresh pool diverges at {shards} shards",
             detector.name()
         );
         let pool = ShardPool::new(shards);
-        // Twice through the same pool: worker scratches carry state
+        // Twice through the same pool: per-shard scratches carry state
         // between windows only if a bug lets them.
         for round in 0..2 {
             assert_eq!(
@@ -517,7 +516,7 @@ fn shard_worker_panic_surfaces_on_the_caller_without_deadlock_or_poison() {
         .unwrap_or_default();
     assert!(message.contains("poison pill"), "unexpected panic payload: {message}");
 
-    // The pool is not poisoned: every worker still judges, and the next
+    // The pool survives: every shard still judges, and the next
     // window's results are bit-identical to sequential judging.
     let clean = plain_stream(31);
     for _ in 0..3 {
