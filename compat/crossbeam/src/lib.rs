@@ -1,16 +1,16 @@
 //! Offline stand-in for the slice of `crossbeam` this workspace uses:
-//! the [`channel`] module's MPMC channels — `bounded`, the
-//! admission/backpressure primitive of `prom_core::serving`, and
-//! `unbounded`. Scoped threads come from [`std::thread::scope`] instead.
+//! the [`channel`] module's bounded MPMC channel, the
+//! admission/backpressure primitive of `prom_core::serving`. Scoped
+//! threads come from [`std::thread::scope`] instead.
 //!
 //! Channels are a from-scratch `Mutex<VecDeque>` + two-`Condvar` queue —
 //! unlike std `mpsc`, both halves are cloneable (**multi-producer,
 //! multi-consumer**; the serving front-end hands out many producer
 //! handles) and a capacity bound turns `send` into a blocking
-//! backpressure point with a non-blocking `try_send` escape. Two
-//! divergences from real crossbeam, neither used by the workspace:
-//! rendezvous channels (`bounded(0)`) are not supported, and `select!`
-//! does not exist.
+//! backpressure point with a non-blocking `try_send` escape. Three
+//! divergences from real crossbeam, none used by the workspace:
+//! rendezvous channels (`bounded(0)`) are not supported, and neither
+//! `unbounded` nor `select!` exists.
 
 #![warn(missing_docs)]
 
@@ -81,8 +81,7 @@ pub mod channel {
     /// The queue plus the hangup bookkeeping, behind the shared mutex.
     struct Inner<T> {
         queue: VecDeque<T>,
-        /// `None` = unbounded.
-        capacity: Option<usize>,
+        capacity: usize,
         senders: usize,
         receivers: usize,
     }
@@ -105,9 +104,9 @@ pub mod channel {
         }
     }
 
-    /// The sending half. Cloneable (multi-producer); with a capacity
-    /// bound, [`Sender::send`] blocks while the queue is full and
-    /// [`Sender::try_send`] fails fast instead.
+    /// The sending half. Cloneable (multi-producer); [`Sender::send`]
+    /// blocks while the queue is full and [`Sender::try_send`] fails fast
+    /// instead.
     pub struct Sender<T> {
         shared: Arc<Shared<T>>,
     }
@@ -142,27 +141,7 @@ pub mod channel {
         /// checked before and during the wait, so a sender can never
         /// block forever on a dead channel.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut inner = self.shared.lock();
-            loop {
-                if inner.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                match inner.capacity {
-                    Some(cap) if inner.queue.len() >= cap => {
-                        inner = self
-                            .shared
-                            .not_full
-                            .wait(inner)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    _ => {
-                        inner.queue.push_back(value);
-                        drop(inner);
-                        self.shared.not_empty.notify_one();
-                        return Ok(());
-                    }
-                }
-            }
+            self.send_with(|| value)
         }
 
         /// Like [`Sender::send`], but the value is built by `make` *inside
@@ -183,21 +162,13 @@ pub mod channel {
                     drop(inner);
                     return Err(SendError(make()));
                 }
-                match inner.capacity {
-                    Some(cap) if inner.queue.len() >= cap => {
-                        inner = self
-                            .shared
-                            .not_full
-                            .wait(inner)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    _ => {
-                        inner.queue.push_back(make());
-                        drop(inner);
-                        self.shared.not_empty.notify_one();
-                        return Ok(());
-                    }
+                if inner.queue.len() < inner.capacity {
+                    inner.queue.push_back(make());
+                    drop(inner);
+                    self.shared.not_empty.notify_one();
+                    return Ok(());
                 }
+                inner = self.shared.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
             }
         }
 
@@ -214,15 +185,13 @@ pub mod channel {
             if inner.receivers == 0 {
                 return Err(TrySendError::Disconnected(value));
             }
-            match inner.capacity {
-                Some(cap) if inner.queue.len() >= cap => Err(TrySendError::Full(value)),
-                _ => {
-                    inner.queue.push_back(value);
-                    drop(inner);
-                    self.shared.not_empty.notify_one();
-                    Ok(())
-                }
+            if inner.queue.len() >= inner.capacity {
+                return Err(TrySendError::Full(value));
             }
+            inner.queue.push_back(value);
+            drop(inner);
+            self.shared.not_empty.notify_one();
+            Ok(())
         }
 
         /// Number of values currently queued (racy by nature; a metric,
@@ -323,20 +292,6 @@ pub mod channel {
         }
     }
 
-    fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner { queue: VecDeque::new(), capacity, senders: 1, receivers: 1 }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        });
-        (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
-    }
-
-    /// Creates an unbounded MPMC channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
     /// Creates a bounded MPMC channel holding at most `capacity` queued
     /// values: a full queue blocks [`Sender::send`] and fails
     /// [`Sender::try_send`] — the admission/backpressure primitive.
@@ -347,33 +302,40 @@ pub mod channel {
     /// this stand-in does not support it).
     pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         assert!(capacity >= 1, "bounded(0) rendezvous channels are not supported");
-        with_capacity(Some(capacity))
+        let shared = Arc::new(Shared {
+            inner: Mutex::new(Inner { queue: VecDeque::new(), capacity, senders: 1, receivers: 1 }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+        });
+        (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, TryRecvError, TrySendError};
+    use super::channel::{bounded, TryRecvError, TrySendError};
 
     #[test]
-    fn unbounded_channel_delivers_in_order_across_threads() {
-        let (tx, rx) = unbounded();
+    fn channel_delivers_in_order_across_threads() {
+        // 100 values through 4 slots: the producer blocks on the full
+        // queue while the receiver drains it.
+        let (tx, rx) = bounded(4);
         let tx2 = tx.clone();
         let producer = std::thread::spawn(move || {
             for i in 0..100 {
                 tx2.send(i).expect("receiver alive");
             }
         });
-        producer.join().unwrap();
         drop(tx);
         let got: Vec<i32> = rx.iter().collect();
+        producer.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
         assert!(rx.recv().is_err(), "disconnected after all senders drop");
     }
 
     #[test]
     fn try_recv_reports_empty_then_disconnected() {
-        let (tx, rx) = unbounded::<u8>();
+        let (tx, rx) = bounded::<u8>(1);
         assert!(matches!(rx.try_recv(), Err(TryRecvError::Empty)));
         tx.send(7).unwrap();
         assert_eq!(rx.try_recv(), Ok(7));
@@ -383,7 +345,7 @@ mod tests {
 
     #[test]
     fn send_to_dropped_receiver_returns_the_value() {
-        let (tx, rx) = unbounded::<u8>();
+        let (tx, rx) = bounded::<u8>(1);
         drop(rx);
         let err = tx.send(9).unwrap_err();
         assert_eq!(err.0, 9);
@@ -474,7 +436,7 @@ mod tests {
 
     #[test]
     fn cloned_receivers_share_the_queue_without_duplication() {
-        let (tx, rx) = unbounded::<u32>();
+        let (tx, rx) = bounded::<u32>(100);
         let rx2 = rx.clone();
         for i in 0..100 {
             tx.send(i).unwrap();

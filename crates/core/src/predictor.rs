@@ -13,12 +13,6 @@ use crate::scoring::{JudgeScratch, ScoringKernel};
 use crate::PromError;
 use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Samples per blocked distance pass in the batched judging paths: the
-/// whole query block must stay cache-resident while the calibration store
-/// streams past it once, and eight queries already cut the store traffic
-/// 8× — wider blocks buy little and cost query-block locality.
-const QUERY_BLOCK: usize = 8;
-
 /// Drift detector for a deployed probabilistic classifier.
 ///
 /// Construct once at design time from a calibration set (held out from the
@@ -159,7 +153,8 @@ impl PromClassifier {
         config: &PromConfig,
     ) -> PromJudgement {
         let mut scratch = JudgeScratch::new();
-        self.judge_scratch(embedding, probs, config, &mut scratch)
+        self.kernel.select(embedding, &mut scratch);
+        self.judge_selected(probs, config, &mut scratch)
     }
 
     /// Judges a window of predictions, reusing one scratch buffer for the
@@ -188,55 +183,24 @@ impl PromClassifier {
     /// reuse one [`JudgeScratch`] (which is `Send`) across every window
     /// it judges instead of re-growing buffers per window. Judgements are
     /// identical to [`PromClassifier::judge_batch_with`] — the scratch is
-    /// stateless between samples.
+    /// stateless between samples, and the window is selected in blocks of
+    /// `QUERY_BLOCK` samples (`ScoringKernel::select_each`).
     pub fn judge_batch_scratch(
         &self,
         samples: &[Sample],
         config: &PromConfig,
         scratch: &mut JudgeScratch,
     ) -> Vec<PromJudgement> {
-        if !self.use_blocked_pass(samples) {
-            return samples
-                .iter()
-                .map(|s| self.judge_scratch(&s.embedding, &s.outputs, config, scratch))
-                .collect();
-        }
+        let queries: Vec<&[f64]> = samples.iter().map(|s| s.embedding.as_slice()).collect();
         let mut out = Vec::with_capacity(samples.len());
-        for chunk in samples.chunks(QUERY_BLOCK) {
-            let queries: Vec<&[f64]> = chunk.iter().map(|s| s.embedding.as_slice()).collect();
-            self.kernel.distance_block(&queries, scratch);
-            for (j, s) in chunk.iter().enumerate() {
-                self.kernel.select_from_block(j, &s.embedding, scratch);
-                out.push(self.judge_selected(&s.outputs, config, scratch));
-            }
-        }
+        self.kernel.select_each(&queries, scratch, |i, scratch| {
+            out.push(self.judge_selected(&samples[i].outputs, config, scratch));
+        });
         out
     }
 
-    /// Whether a batch should run the blocked distance pass: one streaming
-    /// read of the calibration store per [`QUERY_BLOCK`] samples
-    /// ([`ScoringKernel::distance_block`]) instead of one per sample.
-    /// Worthless on the pruned selection path (which exists to *skip* most
-    /// distances) and for single-sample batches (nothing to amortize).
-    fn use_blocked_pass(&self, samples: &[Sample]) -> bool {
-        samples.len() > 1 && !self.kernel.uses_pruned_path()
-    }
-
-    /// The single-sample kernel run both paths share: one Eq. 1 selection,
-    /// one p-value pass for the whole committee, one committee vote.
-    fn judge_scratch(
-        &self,
-        embedding: &[f64],
-        probs: &[f64],
-        config: &PromConfig,
-        scratch: &mut JudgeScratch,
-    ) -> PromJudgement {
-        self.kernel.select(embedding, scratch);
-        self.judge_selected(probs, config, scratch)
-    }
-
     /// Scores and votes the sample whose Eq. 1 selection is already in
-    /// `scratch` — the tail shared by the single-query and blocked paths.
+    /// `scratch` — the tail shared by the single-sample and batched paths.
     fn judge_selected(
         &self,
         probs: &[f64],
@@ -289,21 +253,10 @@ impl PromClassifier {
     ) -> Vec<Vec<PromJudgement>> {
         let mut out: Vec<Vec<PromJudgement>> =
             (0..configs.len()).map(|_| Vec::with_capacity(samples.len())).collect();
-        if self.use_blocked_pass(samples) {
-            for chunk in samples.chunks(QUERY_BLOCK) {
-                let queries: Vec<&[f64]> = chunk.iter().map(|s| s.embedding.as_slice()).collect();
-                self.kernel.distance_block(&queries, scratch);
-                for (j, s) in chunk.iter().enumerate() {
-                    self.kernel.select_from_block(j, &s.embedding, scratch);
-                    self.fanout_selected(s, configs, scratch, &mut out);
-                }
-            }
-        } else {
-            for s in samples {
-                self.kernel.select(&s.embedding, scratch);
-                self.fanout_selected(s, configs, scratch, &mut out);
-            }
-        }
+        let queries: Vec<&[f64]> = samples.iter().map(|s| s.embedding.as_slice()).collect();
+        self.kernel.select_each(&queries, scratch, |i, scratch| {
+            self.fanout_selected(&samples[i], configs, scratch, &mut out);
+        });
         out
     }
 

@@ -295,7 +295,12 @@ impl PromRegressor {
     /// mean target of its `knn_k` nearest calibration samples (Sec. 5.1.1).
     pub fn approximate_target(&self, embedding: &[f64]) -> f64 {
         let mut neighbours = Vec::new();
-        self.kernel.k_nearest(embedding, self.config.knn_k, &mut neighbours);
+        self.kernel.k_nearest(
+            embedding,
+            self.config.knn_k,
+            &mut JudgeScratch::new(),
+            &mut neighbours,
+        );
         neighbours.iter().map(|&i| self.records[i].target).sum::<f64>() / neighbours.len() as f64
     }
 
@@ -307,7 +312,8 @@ impl PromRegressor {
     pub fn judge(&self, embedding: &[f64], prediction: f64) -> PromJudgement {
         let mut scratch = JudgeScratch::new();
         let mut neighbours = Vec::new();
-        self.judge_scratch(embedding, prediction, &mut scratch, &mut neighbours)
+        self.kernel.select(embedding, &mut scratch);
+        self.judge_selected(prediction, &mut scratch, &mut neighbours)
     }
 
     /// Judges a window of predictions (`outputs[0]` of each sample is the
@@ -328,8 +334,9 @@ impl PromRegressor {
     /// regression twin of [`PromClassifier::judge_batch_scratch`]): judges
     /// a window with one caller-owned scratch — whose `neighbours` field
     /// doubles as the k-NN buffer — so a pool shard reuses one `Send`
-    /// scratch across every window it judges. Judgements
-    /// are identical to [`PromRegressor::judge_batch`].
+    /// scratch across every window it judges. The window is selected in
+    /// blocks of `QUERY_BLOCK` samples (`ScoringKernel::select_each`).
+    /// Judgements are identical to [`PromRegressor::judge_batch`].
     ///
     /// [`PromClassifier::judge_batch_scratch`]:
     /// crate::predictor::PromClassifier::judge_batch_scratch
@@ -345,33 +352,27 @@ impl PromRegressor {
         // The neighbour buffer rides in the scratch but is borrowed
         // alongside it, so lift it out for the window.
         let mut neighbours = std::mem::take(&mut scratch.neighbours);
-        let judgements = samples
-            .iter()
-            .map(|s| {
-                assert_eq!(
-                    s.outputs.len(),
-                    1,
-                    "regression samples carry a single prediction in outputs"
-                );
-                self.judge_scratch(&s.embedding, s.outputs[0], scratch, &mut neighbours)
-            })
-            .collect();
+        let queries: Vec<&[f64]> = samples.iter().map(|s| s.embedding.as_slice()).collect();
+        let mut judgements = Vec::with_capacity(samples.len());
+        self.kernel.select_each(&queries, scratch, |i, scratch| {
+            let outputs = &samples[i].outputs;
+            assert_eq!(outputs.len(), 1, "regression samples carry a single prediction in outputs");
+            judgements.push(self.judge_selected(outputs[0], scratch, &mut neighbours));
+        });
         scratch.neighbours = neighbours;
         judgements
     }
 
-    /// The single-sample kernel run both paths share. The distance pass of
-    /// the Eq. 1 selection is reused for the k-NN ground-truth proxy and
-    /// the pseudo-label assignment instead of being recomputed three times.
-    fn judge_scratch(
+    /// Judges the sample whose Eq. 1 selection is already in `scratch` —
+    /// the tail shared by the single-sample and batched paths. The
+    /// selection's distances are reused for the k-NN ground-truth proxy
+    /// and the pseudo-label assignment instead of being recomputed.
+    fn judge_selected(
         &self,
-        embedding: &[f64],
         prediction: f64,
         scratch: &mut JudgeScratch,
         neighbours: &mut Vec<usize>,
     ) -> PromJudgement {
-        self.kernel.select(embedding, scratch);
-
         // Ground-truth proxy: mean target of the knn_k nearest calibration
         // samples (Sec. 5.1.1), from the selection's own distance pass.
         self.kernel.nearest(scratch, self.config.knn_k, neighbours);

@@ -11,21 +11,28 @@
 //!   at construction**, giving `O(log n)` unweighted p-values by binary
 //!   search (the full-set path used by naive CP, TESSERACT, and RISE);
 //! * [`ScoringKernel`] + [`JudgeScratch`] — the Eq. 1/Eq. 2 weighted path
-//!   used by Prom itself: one distance pass per test sample into a
-//!   **reusable scratch buffer**, selection without a sort when the whole
-//!   calibration set is kept, and the p-values of all `E` experts
-//!   computed in one `O(S · E + L)` pass over the kept set, sorted into
-//!   label runs, instead of `O(S · L)` per expert.
+//!   used by Prom itself: one blocked distance pass per `QUERY_BLOCK`
+//!   test samples into a **reusable scratch buffer**, an `O(n)` partition
+//!   for the kept set (none when the whole calibration set is kept), and
+//!   the p-values of all `E` experts computed in one `O(S · E + L)` pass
+//!   over the kept set, sorted into label runs, instead of `O(S · L)` per
+//!   expert.
 //!
-//! `judge` and `judge_batch` run the exact same kernel code — the batched
-//! path only reuses one [`JudgeScratch`] across samples — so batched and
-//! looped judgements are bit-identical by construction.
+//! Every selection runs one engine: [`ScoringKernel::distance_block`]
+//! followed by [`ScoringKernel::select_from_block`]. A single query is a
+//! one-query block, and the lane pass gives each record the same bits
+//! with one query or eight, so `judge` and `judge_batch` are
+//! bit-identical by construction.
 
 use crate::calibration::{CalibrationRecord, SelectionConfig};
 use crate::nonconformity::Nonconformity;
-use prom_ml::matrix::{
-    l2_distance_sq_bounded, l2_distances_sq_lanes, l2_norm_sq, lane_offset, LANE_GROUP,
-};
+use prom_ml::matrix::{l2_distances_sq_lanes, lane_offset, LANE_GROUP};
+
+/// Queries per blocked distance pass in the batched judging paths: the
+/// whole query block must stay cache-resident while the calibration store
+/// streams past it once, and eight queries already cut the store traffic
+/// 8× — wider blocks buy little and cost query-block locality.
+pub(crate) const QUERY_BLOCK: usize = 8;
 
 /// Per-label calibration nonconformity scores, sorted ascending at
 /// construction for binary-search p-values.
@@ -254,19 +261,15 @@ impl ScoreTable {
 /// [`ScoringKernel::p_values_into`] uses one row of `L`.
 #[derive(Debug, Default)]
 pub struct JudgeScratch {
-    /// (squared distance, record index); after [`ScoringKernel::select`]
-    /// this holds every calibration record on the partition path, or only
-    /// the kept subset (partition-scrambled) on the pruned path.
+    /// (squared distance, record index) of every calibration record after
+    /// a selection, the kept ones partitioned to the front; NaN distances
+    /// are stored as `+inf`. [`ScoringKernel::nearest`] reads it.
     dist: Vec<(f64, u32)>,
     /// Query-major squared-distance block (`queries × n_records`) filled by
-    /// [`ScoringKernel::distance_block`] for the batched judging paths.
+    /// [`ScoringKernel::distance_block`].
     block: Vec<f64>,
     /// The query block gathered contiguously for the blocked distance pass.
     block_queries: Vec<f64>,
-    /// The test embedding last passed to [`ScoringKernel::select`] — kept
-    /// for [`ScoringKernel::nearest`]'s rare `k > keep` fallback, which
-    /// must recompute distances the pruned path never materialized.
-    query: Vec<f64>,
     /// (record index, Eq. 1 weight) of the selected subset, sorted by
     /// calibration label into contiguous runs: label `y`'s kept records
     /// are `selected[label_ends[y - 1]..label_ends[y]]` (from 0 for
@@ -310,10 +313,9 @@ impl JudgeScratch {
 /// judgement — runs [`l2_distances_sq_lanes`] over it, which puts records
 /// across the vector lanes and streams the store sequentially; each value
 /// is bit-identical to the per-pair `prom_ml::matrix::l2_distance_sq`.
-/// Per-record l2 norms are precomputed alongside (and maintained by
+/// The store is the kernel's only distance-related state, so
 /// [`ScoringKernel::insert`] / [`ScoringKernel::replace`] /
-/// [`ScoringKernel::remove`]) to power the triangle-inequality pruning
-/// bound of the selective path.
+/// [`ScoringKernel::remove`] edit it and nothing else.
 ///
 /// Calibration scores live in one record-major store: expert `e`'s score
 /// of record `i` sits at `i · E + e`, so one kept record's whole committee
@@ -327,8 +329,6 @@ pub struct ScoringKernel {
     lanes: Vec<f64>,
     /// Embedding dimensionality (fixed at construction).
     dim: usize,
-    /// Per-record l2 norms `‖e_i‖`, for the `|‖e‖ − ‖q‖|` lower bound.
-    norms: Vec<f64>,
     labels: Vec<usize>,
     n_labels: usize,
     /// Number of experts `E`.
@@ -370,13 +370,12 @@ impl ScoringKernel {
                 lanes[lane_offset(i, d, dim)] = x;
             }
         }
-        let norms = embeddings.iter().map(|e| l2_norm_sq(e).sqrt()).collect();
         let n_experts = cal_scores.len();
         let mut scores = Vec::with_capacity(labels.len() * n_experts);
         for i in 0..labels.len() {
             scores.extend(cal_scores.iter().map(|table| table[i]));
         }
-        Self { lanes, dim, norms, labels, n_labels, n_experts, scores, selection }
+        Self { lanes, dim, labels, n_labels, n_experts, scores, selection }
     }
 
     /// Number of calibration records.
@@ -439,7 +438,6 @@ impl ScoringKernel {
         assert!(label < self.n_labels, "label {label} out of range for {} labels", self.n_labels);
         assert_eq!(scores.len(), self.n_experts, "one score per expert required");
         self.scores.extend_from_slice(scores);
-        self.norms.push(l2_norm_sq(&embedding).sqrt());
         let index = self.labels.len();
         if index.is_multiple_of(LANE_GROUP) {
             self.lanes.resize(self.lanes.len() + self.dim * LANE_GROUP, 0.0);
@@ -462,7 +460,6 @@ impl ScoringKernel {
         assert!(label < self.n_labels, "label {label} out of range for {} labels", self.n_labels);
         assert_eq!(scores.len(), self.n_experts, "one score per expert required");
         self.scores[index * self.n_experts..(index + 1) * self.n_experts].copy_from_slice(scores);
-        self.norms[index] = l2_norm_sq(&embedding).sqrt();
         self.write_lane(index, &embedding);
         self.labels[index] = label;
     }
@@ -489,7 +486,6 @@ impl ScoringKernel {
         assert!(index < n, "record index {index} out of range");
         assert!(n > 1, "cannot remove the last calibration record");
         self.scores.drain(index * self.n_experts..(index + 1) * self.n_experts);
-        self.norms.remove(index);
         self.labels.remove(index);
         // Every row (one dimension of one group) from `index`'s group on
         // moves its lanes down one slot and takes the same dimension's
@@ -511,70 +507,43 @@ impl ScoringKernel {
         self.lanes.truncate((n - 1).div_ceil(LANE_GROUP) * group_len);
     }
 
-    /// Runs the Eq. 1 selection for one test embedding into `scratch`:
-    /// computes calibration distances (one streaming pass over the
-    /// lane-grouped store, reused buffer), keeps the nearest fraction per
-    /// [`SelectionConfig`], weights the kept records by `exp(-d / tau)`,
-    /// and sorts them into label runs for the p-value pass.
-    ///
-    /// Distances are compared as **squared** distances throughout — the
-    /// square root is a monotone bijection on `[0, +inf]`, and every
-    /// comparison breaks ties by record index, so the kept *set* is
-    /// identical to comparing true distances; `sqrt` is taken once per
-    /// *kept* record, exactly where the Eq. 1 weight needs it, so weight
-    /// bits match the scalar reference (`calibration::select_weighted_subset`)
-    /// which shares the same distance summation.
-    ///
-    /// When the whole calibration set is kept (small sets, or
-    /// `fraction = 1`), the distance sort is skipped entirely — p-values
-    /// are counts, so selection order is irrelevant. A selective pass picks
-    /// between an O(n) partition and, when `keep` is small relative to `n`,
-    /// a filtered scan that prunes provably-too-far records via the
-    /// precomputed norms (`|‖e‖ − ‖q‖| > threshold` triangle inequality)
-    /// and partial-distance early exit — both produce the same kept set
-    /// bit-for-bit (`tests/kernel_equivalence.rs`).
+    /// Runs the Eq. 1 selection for one test embedding into `scratch`: a
+    /// one-query [`ScoringKernel::distance_block`] followed by
+    /// [`ScoringKernel::select_from_block`], the same engine every batched
+    /// path runs, so one query and a block of eight keep the same records
+    /// with the same weight bits.
     ///
     /// # Panics
     ///
     /// Panics on an embedding-length mismatch (one check per call — the
     /// store is uniform by construction).
     pub fn select(&self, test_embedding: &[f64], scratch: &mut JudgeScratch) {
-        assert_eq!(self.dim, test_embedding.len(), "embedding length mismatch");
-        let keep = self.keep_count();
-        // Keep the query: `nearest` may need distances the pruned path
-        // never materialized.
-        scratch.query.clear();
-        scratch.query.extend_from_slice(test_embedding);
-        scratch.dist.clear();
-        if self.uses_pruned_path() {
-            self.select_pruned(test_embedding, keep, scratch);
-        } else {
-            scratch.dist.extend(self.distances(test_embedding));
-            partition_kept(&mut scratch.dist, keep);
+        self.distance_block(&[test_embedding], scratch);
+        self.select_from_block(0, test_embedding, scratch);
+    }
+
+    /// Runs the Eq. 1 selection for every query in turn, in chunks of
+    /// [`QUERY_BLOCK`]: one [`ScoringKernel::distance_block`] per chunk,
+    /// then [`ScoringKernel::select_from_block`] per query, after which
+    /// `each` gets the query's index in `queries` and the scratch holding
+    /// its selection — the loop of every batched judging path.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an embedding-length mismatch in any query.
+    pub(crate) fn select_each(
+        &self,
+        queries: &[&[f64]],
+        scratch: &mut JudgeScratch,
+        mut each: impl FnMut(usize, &mut JudgeScratch),
+    ) {
+        for (c, chunk) in queries.chunks(QUERY_BLOCK).enumerate() {
+            self.distance_block(chunk, scratch);
+            for (j, query) in chunk.iter().enumerate() {
+                self.select_from_block(j, query, scratch);
+                each(c * QUERY_BLOCK + j, scratch);
+            }
         }
-        self.finish_selection(keep, scratch);
-    }
-
-    /// `(d², index)` for every record against `query`, one [`BATCH`] of
-    /// records per lane pass, with a NaN distance ranked as `+inf`
-    /// ([`nan_to_inf`]).
-    fn distances<'a>(&'a self, query: &'a [f64]) -> impl Iterator<Item = (f64, u32)> + 'a {
-        (0..self.labels.len().div_ceil(BATCH)).flat_map(move |b| {
-            let mut d2 = [0.0f64; BATCH];
-            let valid = self.batch_distances(b, query, &mut d2);
-            (0..valid).map(move |r| (nan_to_inf(d2[r]), (b * BATCH + r) as u32))
-        })
-    }
-
-    /// Squared distances from records `b · BATCH..` (at most [`BATCH`]) to
-    /// `query` into `out`, by one lane pass; returns how many records.
-    fn batch_distances(&self, b: usize, query: &[f64], out: &mut [f64; BATCH]) -> usize {
-        let base = b * BATCH;
-        let valid = (self.labels.len() - base).min(BATCH);
-        let end = (base + valid).div_ceil(LANE_GROUP) * LANE_GROUP;
-        let lanes = &self.lanes[base * self.dim..end * self.dim];
-        l2_distances_sq_lanes(lanes, self.dim, valid, query, &mut out[..valid]);
-        valid
     }
 
     /// How many records the Eq. 1 selection keeps for the current
@@ -588,24 +557,16 @@ impl ScoringKernel {
         }
     }
 
-    /// Whether [`ScoringKernel::select`] takes the norm-pruned filtered
-    /// scan instead of the full-pass partition. The filtered scan wins only
-    /// when few records are kept (its candidate-buffer maintenance is
-    /// overhead the partition does not pay, and a loose threshold prunes
-    /// nothing near `fraction = 0.5`); `keep * 4 <= n` reserves it for
-    /// genuinely selective configurations.
-    ///
-    /// Public as a capability probe: the blocked batch-judging paths
-    /// precompute full distance rows, which would waste exactly the work
-    /// the pruned path exists to skip.
+    /// Always `false`: the norm-pruned selection scan this reported is
+    /// gone, and every selection computes all `n` distances and partitions
+    /// them. Kept only so existing callers still build; it will be removed.
     pub fn uses_pruned_path(&self) -> bool {
-        let keep = self.keep_count();
-        keep < self.labels.len() && keep * 4 <= self.labels.len()
+        false
     }
 
     /// Weights the kept prefix of `scratch.dist` and counting-sorts it by
     /// label into `scratch.selected`, recording each label's run end in
-    /// `scratch.label_ends` — the shared tail of every selection path.
+    /// `scratch.label_ends` — the tail of [`ScoringKernel::select_from_block`].
     /// `sqrt` happens here, once per *kept* record, exactly where the Eq. 1
     /// weight needs it. Order within a run is irrelevant: p-values are
     /// counts over the kept set.
@@ -636,10 +597,7 @@ impl ScoringKernel {
     /// queries: `queries.len()` rows of `n_records()` raw squared distances
     /// each, computed by one streaming pass over the lane-grouped store
     /// ([`l2_distances_sq_lanes`]) instead of one full stream per query.
-    /// Pair with [`ScoringKernel::select_from_block`] per query. Only
-    /// worthwhile on the partition path (check
-    /// [`ScoringKernel::uses_pruned_path`] first — the pruned path exists
-    /// to *skip* most of these distances).
+    /// Pair with [`ScoringKernel::select_from_block`] per query.
     ///
     /// # Panics
     ///
@@ -657,10 +615,22 @@ impl ScoringKernel {
     }
 
     /// Runs the Eq. 1 selection for query `j` of the block last passed to
-    /// [`ScoringKernel::distance_block`], **bit-identical** to
-    /// [`ScoringKernel::select`] on the same embedding: the lane pass gives
-    /// each record the same bits with one query or eight, and the NaN
-    /// mapping, partition and weighting are `select`'s own.
+    /// [`ScoringKernel::distance_block`] — the one selection engine: keeps
+    /// the nearest fraction per [`SelectionConfig`] by an `O(n)` partition,
+    /// weights the kept records by `exp(-d / tau)`, and sorts them into
+    /// label runs for the p-value pass. The lane pass gives each record
+    /// the same bits with one query or eight, so the result does not depend
+    /// on the block's size or on `j`.
+    ///
+    /// Distances are compared as **squared** distances throughout — the
+    /// square root is a monotone bijection on `[0, +inf]`, and every
+    /// comparison breaks ties by record index, so the kept *set* is
+    /// identical to comparing true distances; `sqrt` is taken once per
+    /// *kept* record, exactly where the Eq. 1 weight needs it, so weight
+    /// bits match the scalar reference (`calibration::select_weighted_subset`)
+    /// which shares the same distance summation. When the whole calibration
+    /// set is kept (small sets, or `fraction = 1`), the partition is
+    /// skipped — p-values are counts, so selection order is irrelevant.
     ///
     /// # Panics
     ///
@@ -670,147 +640,50 @@ impl ScoringKernel {
         assert_eq!(self.dim, test_embedding.len(), "embedding length mismatch");
         let n = self.labels.len();
         let keep = self.keep_count();
-        scratch.query.clear();
-        scratch.query.extend_from_slice(test_embedding);
         scratch.dist.clear();
-        let row = &scratch.block[j * n..(j + 1) * n];
-        scratch.dist.extend(row.iter().enumerate().map(|(i, &d2)| (nan_to_inf(d2), i as u32)));
+        scratch.dist.extend(ranked(&scratch.block[j * n..(j + 1) * n]));
         partition_kept(&mut scratch.dist, keep);
         self.finish_selection(keep, scratch);
     }
 
-    /// The pruned selective pass: a filtered scan over the records that
-    /// keeps a small candidate buffer and a provable upper bound `est` on the
-    /// final selection threshold (the `keep`-th lexicographically-smallest
-    /// `(d², index)`). Records provably beyond `est` are skipped — by the
-    /// norm bound without reading their embedding at all, or by
-    /// partial-distance early exit — and the buffer is re-partitioned and
-    /// truncated back to `keep` entries (tightening `est`) every time it
-    /// doubles, so maintenance stays O(1) amortized per accepted candidate
-    /// with none of the pointer-chasing churn of a binary heap. Leaves
-    /// exactly the kept set in `scratch.dist` (partition order — callers
-    /// treat it as a set).
-    ///
-    /// Exactness argument, in three parts. (1) *`est` never undershoots*:
-    /// `est` is always the `keep`-th smallest `(d², index)` over some
-    /// sub-multiset of the true distance multiset (the candidates seen so
-    /// far), and a k-th order statistic over a sub-multiset is `>=` the
-    /// k-th over the whole — so `est >= t²`, the final threshold, at every
-    /// step; skips prove `d² > est >= t²` (strictly, so boundary ties are
-    /// never skipped), truncations drop only entries lexicographically
-    /// beyond `est`'s pair, and therefore every true member survives to the
-    /// final partition, which equals the full-pass partition bit for bit.
-    /// (2) *Norm bound*: exact math gives `d(e, q) >= |‖e‖ − ‖q‖|`; the
-    /// computed norms and the subtraction carry rounding error, so the
-    /// bound is deflated by a conservative slack (a few ulps of
-    /// `‖e‖ + ‖q‖`, scaled by dim) before squaring, and the squared bound
-    /// is deflated again before comparing — only records *strictly,
-    /// provably* beyond `est` are skipped. NaN/overflowed norms make the
-    /// comparison false, disabling the prune rather than mis-pruning.
-    /// (3) *Early exit* is sound and non-perturbing per
-    /// [`l2_distance_sq_bounded`]'s contract (here reading the record's
-    /// lane at stride [`LANE_GROUP`]); the bound passed is `est`'s upward
-    /// neighbour, so an exit proves `d² > est` even at exact ties, and
-    /// survivors carry bit-identical sums.
-    fn select_pruned(&self, test_embedding: &[f64], keep: usize, scratch: &mut JudgeScratch) {
-        let q_norm = l2_norm_sq(test_embedding).sqrt();
-        let norm_slack = 4.0 * self.dim as f64 * f64::EPSILON;
-        let square_slack = 1.0 - 32.0 * self.dim as f64 * f64::EPSILON;
-        let lex = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-        let cand = &mut scratch.dist;
-        let cap = 2 * keep;
-        let mut est = f64::INFINITY;
-        let group_len = self.dim * LANE_GROUP;
-        // The lane pass's output for batch `computed`, while `est` is inf.
-        let mut batch_d2 = [0.0f64; BATCH];
-        let mut computed = None;
-        for (i, &norm) in self.norms.iter().enumerate() {
-            let lower = (norm - q_norm).abs() - (norm + q_norm) * norm_slack;
-            if lower > 0.0 && lower * lower * square_slack > est {
-                continue;
-            }
-            let d2 = if est.is_finite() {
-                let g = i / LANE_GROUP;
-                let lane = &self.lanes[g * group_len + i % LANE_GROUP..(g + 1) * group_len];
-                match l2_distance_sq_bounded(lane, LANE_GROUP, test_embedding, next_up(est)) {
-                    Some(d2) => d2,
-                    None => continue,
-                }
-            } else {
-                // Warm-up, before the buffer first fills, computes every
-                // record, so run the lane pass once per batch. (`est` can
-                // stay inf past warm-up only if every candidate distance
-                // is inf — NaN/overflow queries — where the bounded kernel
-                // could exit on records the tie rule keeps.)
-                if computed != Some(i / BATCH) {
-                    self.batch_distances(i / BATCH, test_embedding, &mut batch_d2);
-                    computed = Some(i / BATCH);
-                }
-                batch_d2[i % BATCH]
-            };
-            let d2 = nan_to_inf(d2);
-            if d2 > est {
-                continue;
-            }
-            cand.push((d2, i as u32));
-            if cand.len() == cap {
-                cand.select_nth_unstable_by(keep - 1, lex);
-                cand.truncate(keep);
-                est = cand[keep - 1].0;
-            }
-        }
-        if cand.len() > keep {
-            cand.select_nth_unstable_by(keep - 1, lex);
-            cand.truncate(keep);
-        }
-    }
-
-    /// The `k` nearest calibration records to the embedding last passed to
-    /// [`ScoringKernel::select`], nearest first (the k-NN ground-truth
-    /// proxy reuses the selection's distance pass instead of recomputing
-    /// it). Same order as [`ScoringKernel::k_nearest`] on that embedding.
+    /// The `k` nearest calibration records to the embedding of the last
+    /// selection in `scratch`, nearest first (the k-NN ground-truth proxy
+    /// reuses the selection's distances instead of recomputing them). Same
+    /// order as [`ScoringKernel::k_nearest`] on that embedding.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or [`ScoringKernel::select`] has not run.
+    /// Panics if `k == 0` or no selection has run on `scratch`.
     pub fn nearest(&self, scratch: &JudgeScratch, k: usize, out: &mut Vec<usize>) {
         assert!(k > 0, "nearest needs k >= 1");
         assert!(!scratch.dist.is_empty(), "select() must run before nearest()");
-        let n = self.labels.len();
-        let k = k.min(n);
+        let k = k.min(self.labels.len());
+        // The kept prefix holds the `keep` globally-nearest records, so
+        // when it covers `k` its k smallest are the global k smallest;
+        // otherwise every record's distance is still in the buffer.
         let kept = scratch.selected.len();
-        if k <= kept {
-            // The kept subset holds the `keep` globally-nearest records
-            // (every select path guarantees it), so its k smallest are the
-            // global k smallest. On the partition path `dist` may hold all
-            // n records with the kept ones in the prefix; on the pruned
-            // path it holds exactly the kept set.
-            k_smallest_into(scratch.dist[..kept].iter().copied(), k, out);
-        } else if scratch.dist.len() == n {
-            // k exceeds the kept subset but the partition path left every
-            // record's distance in the buffer.
-            k_smallest_into(scratch.dist.iter().copied(), k, out);
-        } else {
-            // Pruned path with k > keep (knn_k beyond the selection size —
-            // degenerate configurations only): the skipped distances were
-            // never materialized, so recompute the full pass against the
-            // stashed query. Same kernel, same NaN rule — bit-identical to
-            // what the partition path's buffer would have held.
-            self.k_nearest(&scratch.query, k, out);
-        }
+        let candidates = if k <= kept { &scratch.dist[..kept] } else { &scratch.dist[..] };
+        k_smallest_into(candidates.iter().copied(), k, out);
     }
 
     /// The `k` nearest calibration records to `query`, nearest first, ties
     /// broken by record index and a NaN distance ranked as `+inf` — the
-    /// order of `prom_ml::knn::k_nearest` over the same rows.
+    /// order of `prom_ml::knn::k_nearest` over the same rows. Runs a
+    /// one-query [`ScoringKernel::distance_block`] in `scratch`.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0` or `query` has the wrong dimension.
-    pub fn k_nearest(&self, query: &[f64], k: usize, out: &mut Vec<usize>) {
+    pub fn k_nearest(
+        &self,
+        query: &[f64],
+        k: usize,
+        scratch: &mut JudgeScratch,
+        out: &mut Vec<usize>,
+    ) {
         assert!(k > 0, "k_nearest needs k >= 1");
-        assert_eq!(self.dim, query.len(), "embedding length mismatch");
-        k_smallest_into(self.distances(query), k.min(self.labels.len()), out);
+        self.distance_block(&[query], scratch);
+        k_smallest_into(ranked(&scratch.block), k.min(self.labels.len()), out);
     }
 
     /// Eq. 2 p-values of every expert over the selection in `scratch`, in
@@ -942,33 +815,16 @@ fn k_smallest_into(candidates: impl Iterator<Item = (f64, u32)>, k: usize, out: 
     out.extend(best.iter().map(|&(_, i)| i as usize));
 }
 
-/// Records per lane pass on the single-query paths: eight groups, enough to
-/// amortize the call, small enough for a stack buffer.
-const BATCH: usize = 8 * LANE_GROUP;
-
-/// A NaN squared distance (the *test* embedding diverged — calibration
-/// embeddings are validated NaN-free at record construction) means the pair
-/// conforms to nothing: treat it as infinitely far, so its Eq. 1 weight is
-/// exactly 0 and the judgement stays *defined* instead of panicking in the
-/// serving path. Every strictly positive test score then gets p = 0; a test
-/// score of exactly 0 (a maximally conforming output) still ties as
-/// `0 >= 0`, matching the reference path's tie rule.
-fn nan_to_inf(d2: f64) -> f64 {
-    if d2.is_nan() {
-        f64::INFINITY
-    } else {
-        d2
-    }
-}
-
-/// The smallest `f64` strictly greater than `x`, for finite `x >= 0` —
-/// the early-exit bound of the pruned scan, which must prove *strict*
-/// `d² > est` so records tying the threshold exactly are never skipped.
-/// (Squared distances are non-negative, so the bit-increment form is
-/// exact; `+0.0` maps to the smallest subnormal.)
-fn next_up(x: f64) -> f64 {
-    debug_assert!(x.is_finite() && x >= 0.0);
-    f64::from_bits(x.to_bits() + 1)
+/// `(d², index)` for every record of one distance-block row, in record
+/// order. A NaN squared distance (the *test* embedding diverged —
+/// calibration embeddings are validated NaN-free at record construction)
+/// means the pair conforms to nothing: it is ranked as `+inf`, so its Eq. 1
+/// weight is exactly 0 and the judgement stays *defined* instead of
+/// panicking in the serving path. Every strictly positive test score then
+/// gets p = 0; a test score of exactly 0 (a maximally conforming output)
+/// still ties as `0 >= 0`, matching the reference path's tie rule.
+fn ranked(row: &[f64]) -> impl Iterator<Item = (f64, u32)> + '_ {
+    row.iter().enumerate().map(|(i, &d2)| (if d2.is_nan() { f64::INFINITY } else { d2 }, i as u32))
 }
 
 #[cfg(test)]
@@ -1269,8 +1125,7 @@ mod tests {
         // boundaries, checked after every step against a fresh kernel over
         // the surviving rows: the lane store itself (padding included),
         // the record-major score store, then select + every expert's
-        // p-values on the partition (fraction 0.5) and the pruned
-        // (fraction 0.1) paths. Three experts with different scores, so a
+        // p-values at fractions 0.5 and 0.1. Three experts with different scores, so a
         // stride or offset slip in the score store's edits shows.
         use rand::{Rng, SeedableRng};
         const EXPERTS: usize = 3;
@@ -1335,7 +1190,6 @@ mod tests {
                 );
                 let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
                 assert_eq!(bits(&kernel.lanes), bits(&fresh.lanes), "dim {dim}, step {step}");
-                assert_eq!(bits(&kernel.norms), bits(&fresh.norms), "dim {dim}, step {step}");
                 assert_eq!(bits(&kernel.scores), bits(&fresh.scores), "dim {dim}, step {step}");
                 let mut sk = JudgeScratch::new();
                 let mut sf = JudgeScratch::new();
@@ -1369,8 +1223,8 @@ mod tests {
         // Committees of 1 and 4 experts take the widths `p_values_all`
         // dispatches on; 3 and 5 take the per-expert fallback. Label 3
         // has no records (an empty run on every selection), and label 2
-        // sits far away, so the partition and pruned selections near the
-        // origin keep none of it.
+        // sits far away, so the fraction-0.5 and fraction-0.1 selections
+        // near the origin keep none of it.
         let n = 120;
         let embeddings: Vec<Vec<f64>> = (0..n)
             .map(|i| {
@@ -1387,10 +1241,8 @@ mod tests {
                     (0..n).map(|i| (i as f64 * (0.37 + 0.21 * e as f64)).sin().abs()).collect()
                 })
                 .collect();
-            // (fraction, min_full_size): keep-all, partition, pruned.
-            for (fraction, min_full_size, pruned) in
-                [(0.5, 1000, false), (0.5, 10, false), (0.1, 10, true)]
-            {
+            // (fraction, min_full_size): keep-all, then keep 50% and 10%.
+            for (fraction, min_full_size) in [(0.5, 1000), (0.5, 10), (0.1, 10)] {
                 let kernel = ScoringKernel::new(
                     embeddings.clone(),
                     labels.clone(),
@@ -1398,7 +1250,6 @@ mod tests {
                     cal_scores.clone(),
                     SelectionConfig { fraction, min_full_size, tau: 10.0 },
                 );
-                assert_eq!(kernel.uses_pruned_path(), pruned);
                 let mut scratch = JudgeScratch::new();
                 // The last probe is a NaN embedding: every weight is 0.
                 for probe in [[0.0, 0.0], [11.3, 2.9], [f64::NAN, 0.0]] {
@@ -1437,13 +1288,14 @@ mod tests {
     #[test]
     fn k_nearest_matches_the_flat_knn_helper() {
         for dim in [1, 3, 8, 17] {
-            let kernel = pruned_fixture(45, dim, 0.5);
+            let kernel = tie_fixture(45, dim, 0.5);
             let flat: Vec<f64> = rows(&kernel).concat();
+            let mut scratch = JudgeScratch::new();
             let mut out = Vec::new();
             for base in [0.0, 4.5, 11.2, f64::NAN] {
                 let query: Vec<f64> = (0..dim).map(|j| base + j as f64 * 0.01).collect();
                 for k in [1, 3, 45, 60] {
-                    kernel.k_nearest(&query, k, &mut out);
+                    kernel.k_nearest(&query, k, &mut scratch, &mut out);
                     let expect = prom_ml::knn::k_nearest_flat(&flat, dim, &query, k);
                     assert_eq!(out, expect, "dim {dim}, base {base}, k {k}");
                 }
@@ -1464,37 +1316,52 @@ mod tests {
         kernel.remove(0);
     }
 
-    /// A fixture whose selection fraction engages the pruned filtered-scan
-    /// path (`keep * 4 <= n`), with duplicate embeddings so boundary ties
-    /// are exercised.
-    fn pruned_fixture(n: usize, dim: usize, fraction: f64) -> ScoringKernel {
+    /// A fixture with duplicate embeddings, so selections cut through
+    /// distance ties at the keep boundary: every 5th record duplicates its
+    /// predecessor's embedding. Two experts with different scores.
+    fn tie_fixture(n: usize, dim: usize, fraction: f64) -> ScoringKernel {
         let embeddings: Vec<Vec<f64>> = (0..n)
             .map(|i| {
-                // Every 5th record duplicates its predecessor's embedding.
                 let base = if i % 5 == 4 { i - 1 } else { i };
                 (0..dim).map(|j| (base as f64 * 0.5) + (j as f64 * 0.01)).collect()
             })
             .collect();
         let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
-        let scores: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin().abs()).collect();
+        let scores: Vec<Vec<f64>> = [0.37, 0.11]
+            .iter()
+            .map(|f| (0..n).map(|i| (i as f64 * f).sin().abs()).collect())
+            .collect();
         ScoringKernel::new(
             embeddings,
             labels,
             3,
-            vec![scores],
+            scores,
             SelectionConfig { fraction, min_full_size: 1, tau: 10.0 },
         )
     }
 
     #[test]
-    fn pruned_path_matches_reference_bit_for_bit() {
-        for dim in [1, 8, 17] {
-            let kernel = pruned_fixture(120, dim, 0.1); // keep = 12, 12*4 <= 120
+    fn small_fraction_selection_matches_reference_bit_for_bit() {
+        // Keep 10% of 120 records: the kept index set and the p-value bits
+        // equal the scalar reference's (full sort, ties by index).
+        for dim in [1, 3, 8, 17] {
+            let kernel = tie_fixture(120, dim, 0.1); // keep = 12
             let mut scratch = JudgeScratch::new();
-            for probe_base in [0.0, 11.7, 60.0, 1.0e7] {
+            for probe_base in [0.0, 7.0, 11.7, 60.0, 1.0e7] {
                 let probe: Vec<f64> = (0..dim).map(|j| probe_base + j as f64 * 0.01).collect();
                 kernel.select(&probe, &mut scratch);
-                assert_eq!(scratch.selected.len(), 12, "pruned path must keep exactly `keep`");
+                assert_eq!(scratch.selected.len(), 12, "the selection must keep exactly `keep`");
+                let mut kept: Vec<usize> =
+                    scratch.selected.iter().map(|&(i, _)| i as usize).collect();
+                kept.sort_unstable();
+                let reference = crate::calibration::select_weighted_subset(
+                    &rows(&kernel),
+                    &probe,
+                    &kernel.selection,
+                );
+                let mut want: Vec<usize> = reference.iter().map(|s| s.index).collect();
+                want.sort_unstable();
+                assert_eq!(kept, want, "dim {dim}, probe {probe_base}");
                 scratch.test_scores.clear();
                 scratch.test_scores.extend_from_slice(&[0.2, 0.5, 0.8]);
                 kernel.p_values_into(0, &mut scratch);
@@ -1507,67 +1374,68 @@ mod tests {
     }
 
     #[test]
-    fn blocked_selection_is_bit_identical_to_single_query_select() {
-        // Partition configs only — the blocked pass is gated off the
-        // pruned path by callers via `uses_pruned_path`.
-        for fraction in [0.5, 1.0] {
-            let kernel = pruned_fixture(60, 4, fraction);
-            assert!(!kernel.uses_pruned_path());
-            let queries: Vec<Vec<f64>> = vec![
-                vec![0.0, 0.01, 0.02, 0.03],
-                vec![14.5, 14.51, 14.52, 14.53],
-                kernel.embedding(10),
-                vec![f64::NAN, 0.0, 0.0, 0.0],
-            ];
-            let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
-            let mut blocked = JudgeScratch::new();
-            kernel.distance_block(&refs, &mut blocked);
-            let mut single = JudgeScratch::new();
-            for (j, query) in queries.iter().enumerate() {
-                kernel.select_from_block(j, query, &mut blocked);
-                kernel.select(query, &mut single);
-                let got: Vec<(u32, u64)> =
-                    blocked.selected.iter().map(|&(i, w)| (i, w.to_bits())).collect();
-                let want: Vec<(u32, u64)> =
-                    single.selected.iter().map(|&(i, w)| (i, w.to_bits())).collect();
-                assert_eq!(got, want, "fraction {fraction}, query {j}");
-                assert_eq!(blocked.label_ends, single.label_ends, "fraction {fraction}, query {j}");
+    fn select_is_a_one_query_block_bit_for_bit() {
+        // `select` against `distance_block` over four queries plus
+        // `select_from_block`: the kept (record, weight) pairs, the label
+        // runs and every expert's p-values, at keep fractions from 5% to
+        // all. The query at record 10's embedding puts records 8 and 9
+        // (duplicates) at the keep-3 boundary; the last query is NaN.
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let pairs = |s: &JudgeScratch| -> Vec<(u32, u64)> {
+            s.selected.iter().map(|&(i, w)| (i, w.to_bits())).collect()
+        };
+        let mut boundary_ties = 0;
+        for dim in [1, 4] {
+            for fraction in [0.05, 0.1, 0.25, 0.5, 1.0] {
+                let kernel = tie_fixture(60, dim, fraction);
+                let flat: Vec<f64> = rows(&kernel).concat();
+                let queries: Vec<Vec<f64>> = vec![
+                    (0..dim).map(|j| j as f64 * 0.01).collect(),
+                    (0..dim).map(|j| 14.5 + j as f64 * 0.01).collect(),
+                    kernel.embedding(10),
+                    (0..dim).map(|j| if j == 0 { f64::NAN } else { 0.0 }).collect(),
+                ];
+                let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+                let mut blocked = JudgeScratch::new();
+                kernel.distance_block(&refs, &mut blocked);
+                let mut single = JudgeScratch::new();
+                for (j, query) in queries.iter().enumerate() {
+                    let case = format!("dim {dim}, fraction {fraction}, query {j}");
+                    kernel.select_from_block(j, query, &mut blocked);
+                    kernel.select(query, &mut single);
+                    assert_eq!(pairs(&blocked), pairs(&single), "{case}");
+                    assert_eq!(blocked.label_ends, single.label_ends, "{case}");
+                    for scratch in [&mut blocked, &mut single] {
+                        scratch.test_scores.clear();
+                        scratch.test_scores.extend_from_slice(&[0.2, 0.5, 0.8, 0.1, 0.4, 0.0]);
+                        kernel.p_values_all(scratch);
+                    }
+                    assert_eq!(bits(&blocked.p_values), bits(&single.p_values), "{case}");
+                    let keep = single.selected.len();
+                    let boundary = single.dist[..keep].iter().map(|d| d.0).fold(0.0, f64::max);
+                    if boundary.is_finite() && single.dist[keep..].iter().any(|d| d.0 == boundary) {
+                        boundary_ties += 1;
+                    }
+                    // k past the kept set reads every record's distance.
+                    let mut out = Vec::new();
+                    let k = (keep + 3).min(60);
+                    kernel.nearest(&single, k, &mut out);
+                    assert_eq!(out, prom_ml::knn::k_nearest_flat(&flat, dim, query, k), "{case}");
+                }
             }
         }
+        assert!(boundary_ties > 0, "the fixture must put ties at a keep boundary");
     }
 
     #[test]
-    fn pruned_and_partition_paths_keep_the_same_set() {
-        // Same records, two configs straddling the `keep * 4 <= n`
-        // threshold at the same keep count: fraction 0.1 of 120 (pruned)
-        // vs the same 12 records under a kernel sliced to engage the
-        // partition (compare selected sets + weights via p-value bits and
-        // the selected-index sets directly).
-        let pruned = pruned_fixture(120, 3, 0.1);
-        let mut sp = JudgeScratch::new();
-        pruned.select(&[7.0, 7.01, 7.02], &mut sp);
-        let mut from_pruned: Vec<u32> = sp.selected.iter().map(|&(i, _)| i).collect();
-        from_pruned.sort_unstable();
-        // Reference kept set via the scalar path.
-        let reference = crate::calibration::select_weighted_subset(
-            &rows(&pruned),
-            &[7.0, 7.01, 7.02],
-            &pruned.selection,
-        );
-        let mut from_reference: Vec<u32> = reference.iter().map(|s| s.index as u32).collect();
-        from_reference.sort_unstable();
-        assert_eq!(from_pruned, from_reference);
-    }
-
-    #[test]
-    fn nearest_recomputes_when_k_exceeds_pruned_keep() {
-        let kernel = pruned_fixture(120, 2, 0.05); // keep = 6
+    fn nearest_reads_every_distance_when_k_exceeds_keep() {
+        let kernel = tie_fixture(120, 2, 0.05); // keep = 6
         let mut scratch = JudgeScratch::new();
         let mut out = Vec::new();
         kernel.select(&[30.0, 30.01], &mut scratch);
         assert_eq!(scratch.selected.len(), 6);
-        assert_eq!(scratch.dist.len(), 6, "pruned path materializes only the kept set");
-        // k = 10 > keep = 6: the fallback must recompute and agree with the
+        assert_eq!(scratch.dist.len(), 120, "the selection keeps every record's distance");
+        // k = 10 > keep = 6 reads past the kept prefix and agrees with the
         // flat k-NN helper over the full store.
         let flat: Vec<f64> = rows(&kernel).concat();
         kernel.nearest(&scratch, 10, &mut out);
@@ -1580,12 +1448,10 @@ mod tests {
     }
 
     #[test]
-    fn replace_maintains_norms_for_the_pruning_bound() {
-        let mut kernel = pruned_fixture(120, 2, 0.1);
-        // Move record 7 far away; a stale norm would let the pruning bound
-        // wrongly skip (or keep) it.
-        kernel.replace(7, vec![500.0, 500.0], 0, &[0.3]);
-        assert_eq!(kernel.norms[7], prom_ml::matrix::l2_norm(&[500.0, 500.0]));
+    fn replace_moves_a_record_into_a_small_fraction_selection() {
+        let mut kernel = tie_fixture(120, 2, 0.1);
+        // Move record 7 far away, next to the query: it must now be kept.
+        kernel.replace(7, vec![500.0, 500.0], 0, &[0.3, 0.6]);
         let mut scratch = JudgeScratch::new();
         kernel.select(&[500.0, 500.0], &mut scratch);
         assert!(

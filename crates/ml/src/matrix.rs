@@ -452,58 +452,6 @@ pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
     l2_distance_sq(a, b).sqrt()
 }
 
-/// [`l2_distance_sq`] with partial-distance early exit: returns `None` as
-/// soon as the partial sum already reaches `bound`, `Some(d²)` otherwise —
-/// where the `Some` value is **bit-identical** to `l2_distance_sq(a, b)`.
-///
-/// Element `d` of `a` is read at `a[d * stride]`: stride 1 is a contiguous
-/// row, stride [`LANE_GROUP`] one record's lane of a lane-grouped store
-/// (pass the group sliced from the record's lane offset).
-///
-/// Soundness of the exit: every term is non-negative, IEEE round-to-nearest
-/// addition of a non-negative value never decreases a sum
-/// (`fl(s + t) >= s` for `t >= 0`), and the lane combine is monotone in
-/// each argument — so every partial combined sum is `<=` the final one, and
-/// `partial >= bound` proves `final >= bound`. The exit checks only *read*
-/// the accumulators (every survivor runs the exact same sequence of
-/// additions as the unbounded kernel), which is what keeps survivors
-/// bit-identical. A NaN partial compares false against any bound, so NaN
-/// inputs never exit early and surface as `Some(NaN)` exactly like the
-/// unbounded kernel.
-///
-/// # Panics
-///
-/// Panics if `a` is too short to hold `b.len()` elements at `stride`.
-#[inline]
-pub fn l2_distance_sq_bounded(a: &[f64], stride: usize, b: &[f64], bound: f64) -> Option<f64> {
-    let Some(last) = b.len().checked_sub(1) else {
-        return Some(0.0);
-    };
-    // Cut `a` at the last element read, so the compiler can drop the
-    // per-element bounds checks.
-    let a = &a[..last * stride + 1];
-    let mut acc = [0.0f64; L2_LANES];
-    let mut chunks = b.chunks_exact(L2_LANES);
-    for (c, rb) in chunks.by_ref().enumerate() {
-        let rb: &[f64; L2_LANES] = rb.try_into().unwrap();
-        for l in 0..L2_LANES {
-            let d = a[(c * L2_LANES + l) * stride] - rb[l];
-            acc[l] += d * d;
-        }
-        // Check every 4 chunks (16 elements) — often enough to save work on
-        // far records, rare enough not to tax the inner loop.
-        if c % 4 == 3 && (acc[0] + acc[1]) + (acc[2] + acc[3]) >= bound {
-            return None;
-        }
-    }
-    let mut tail = 0.0f64;
-    for (d, y) in b.iter().enumerate().skip(b.len() - chunks.remainder().len()) {
-        let x = a[d * stride] - y;
-        tail += x * x;
-    }
-    Some((acc[0] + acc[1]) + (acc[2] + acc[3]) + tail)
-}
-
 /// Offset of value `d` of record `i` in a lane-grouped store of dimension
 /// `dim`: group `i / LANE_GROUP` holds its [`LANE_GROUP`] records
 /// dimension-major, so the value sits at
@@ -946,35 +894,6 @@ mod tests {
             "witness regressed: chunked and sequential sums agree bit-for-bit on the whole \
              family; the caveat docs (and this pin) need re-examination"
         );
-    }
-
-    #[test]
-    fn bounded_distance_survivors_are_bit_identical_and_exits_are_sound() {
-        let a: Vec<f64> = (0..37).map(|i| (i as f64 * 0.31).sin() * 4.0).collect();
-        let b: Vec<f64> = (0..37).map(|i| (i as f64 * 0.17).cos() * 3.0).collect();
-        let exact = l2_distance_sq(&a, &b);
-        // A bound above the distance must survive with identical bits.
-        let survived = l2_distance_sq_bounded(&a, 1, &b, exact * 2.0).expect("under the bound");
-        assert_eq!(survived.to_bits(), exact.to_bits());
-        // A bound the partial sum reaches must exit; one it never reaches
-        // (inf) must not.
-        assert_eq!(l2_distance_sq_bounded(&a, 1, &b, exact * 0.25), None);
-        assert_eq!(
-            l2_distance_sq_bounded(&a, 1, &b, f64::INFINITY).map(f64::to_bits),
-            Some(exact.to_bits())
-        );
-        // NaN never exits early: it surfaces like the unbounded kernel.
-        let nan = vec![f64::NAN; 37];
-        assert!(l2_distance_sq_bounded(&nan, 1, &b, 0.0).expect("NaN must not exit").is_nan());
-        // A record's lane of a lane-grouped store, read at stride
-        // LANE_GROUP, runs the same op sequence as its contiguous row.
-        let mut rows = vec![0.0; 3 * 37];
-        rows[37..74].copy_from_slice(&a);
-        let lanes = lane_groups(&rows, 37);
-        let lane = &lanes[lane_offset(1, 0, 37)..];
-        let survived = l2_distance_sq_bounded(lane, LANE_GROUP, &b, exact * 2.0);
-        assert_eq!(survived.map(f64::to_bits), Some(exact.to_bits()));
-        assert_eq!(l2_distance_sq_bounded(lane, LANE_GROUP, &b, exact * 0.25), None);
     }
 
     /// Rows whose coordinates mix ordinary values with ±0.0, subnormals,
