@@ -66,6 +66,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod assessment;
+pub mod calibrated;
 pub mod calibration;
 pub mod committee;
 pub mod detector;
@@ -113,6 +114,12 @@ pub enum PromError {
         /// Human-readable description of the offending parameter.
         detail: String,
     },
+    /// A calibration record fails its own validation (empty or NaN
+    /// embedding, out-of-range label, non-finite output or target).
+    InvalidRecord {
+        /// Human-readable description of the fault.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for PromError {
@@ -123,6 +130,9 @@ impl std::fmt::Display for PromError {
                 write!(f, "calibration dimension mismatch: {detail}")
             }
             PromError::InvalidConfig { detail } => write!(f, "invalid configuration: {detail}"),
+            PromError::InvalidRecord { detail } => {
+                write!(f, "invalid calibration record: {detail}")
+            }
         }
     }
 }

@@ -3,11 +3,10 @@
 
 use prom_ml::traits::Classifier;
 
-use crate::calibration::{CalibrationRecord, SelectionConfig};
-use crate::committee::{
-    committee_accepts, verdict_from_p_values, ExpertVerdict, PromConfig, PromJudgement,
-};
-use crate::detector::{DriftDetector, Judgement, Relabeled, Sample};
+use crate::calibrated::{Calibrated, DetectorKind};
+use crate::calibration::CalibrationRecord;
+use crate::committee::{PromConfig, PromJudgement};
+use crate::detector::{DriftDetector, Judgement, Relabeled, Sample, Truth};
 use crate::nonconformity::{default_committee, Nonconformity};
 use crate::scoring::{JudgeScratch, ScoringKernel};
 use crate::PromError;
@@ -17,24 +16,122 @@ use serde::{DeError, Deserialize, Serialize, Value};
 ///
 /// Construct once at design time from a calibration set (held out from the
 /// model's training data), then call [`PromClassifier::judge`] on every
-/// deployment-time prediction — or [`PromClassifier::judge_batch`] on a
+/// deployment-time prediction — or [`Calibrated::judge_batch`] on a
 /// window of predictions, which reuses one scoring scratch buffer across
 /// the whole window. The wrapper never touches the underlying model: it
 /// only consumes embeddings and probability vectors, mirroring the paper's
 /// `pybind11` integration note.
-pub struct PromClassifier {
-    records: Vec<CalibrationRecord>,
+pub type PromClassifier = Calibrated<Classification>;
+
+/// The classification part of [`PromClassifier`]: records calibrate under
+/// their true label, scored by each [`Nonconformity`] expert.
+pub struct Classification {
     experts: Vec<Box<dyn Nonconformity>>,
-    /// The shared scoring kernel: calibration embeddings, labels, and
-    /// every expert's scores precomputed offline (Sec. 4.1.1).
-    kernel: ScoringKernel,
-    config: PromConfig,
-    n_classes: usize,
-    /// How many of the leading `records` are design-time base records.
-    /// Online absorbs append *after* this prefix; sliding-window eviction
-    /// shrinks it from the front. Reservoir slot `s` therefore addresses
-    /// record `base_len + s`, read live (never cached by callers).
-    base_len: usize,
+}
+
+impl DetectorKind for Classification {
+    type Record = CalibrationRecord;
+
+    const SNAPSHOT_TAG: &'static str = "prom-classifier";
+
+    fn embedding(record: &CalibrationRecord) -> &[f64] {
+        &record.embedding
+    }
+
+    fn record_output_len(record: &CalibrationRecord) -> usize {
+        record.probs.len()
+    }
+
+    /// [`CalibrationRecord::validate`], plus a NaN-free probability
+    /// vector: a NaN output gives NaN expert scores, which count in every
+    /// p-value denominator of their label but never in a numerator.
+    fn validate(record: &CalibrationRecord) -> Result<(), String> {
+        record.validate()?;
+        if record.probs.iter().any(|p| p.is_nan()) {
+            return Err("NaN in probability vector".into());
+        }
+        Ok(())
+    }
+
+    fn from_relabeled(r: &Relabeled) -> Option<CalibrationRecord> {
+        let Truth::Label(label) = r.truth else {
+            return None;
+        };
+        Some(CalibrationRecord {
+            embedding: r.sample.embedding.clone(),
+            probs: r.sample.outputs.clone(),
+            label,
+        })
+    }
+
+    fn expert_names(&self) -> impl ExactSizeIterator<Item = &'static str> + '_ {
+        self.experts.iter().map(|e| e.name())
+    }
+
+    fn n_labels(&self, output_len: usize) -> usize {
+        output_len
+    }
+
+    fn output_len(&self, kernel: &ScoringKernel) -> usize {
+        kernel.n_labels()
+    }
+
+    fn label(&self, record: &CalibrationRecord) -> usize {
+        record.label
+    }
+
+    fn score(&self, expert: usize, record: &CalibrationRecord) -> f64 {
+        self.experts[expert].score(&record.probs, record.label)
+    }
+
+    fn test_scores(
+        &self,
+        _records: &[CalibrationRecord],
+        kernel: &ScoringKernel,
+        probs: &[f64],
+        scratch: &mut JudgeScratch,
+    ) -> usize {
+        let n_classes = kernel.n_labels();
+        assert_eq!(probs.len(), n_classes, "class-count mismatch");
+        scratch.test_scores.clear();
+        for expert in &self.experts {
+            scratch.test_scores.extend((0..n_classes).map(|y| expert.score(probs, y)));
+        }
+        prom_ml::matrix::argmax(probs)
+    }
+
+    fn snapshot(core: &PromClassifier) -> Value {
+        ClassifierSnapshot {
+            detector: Self::SNAPSHOT_TAG.to_string(),
+            expert_names: core.expert_names().into_iter().map(String::from).collect(),
+            n_classes: core.n_classes(),
+            base_len: core.base_record_len(),
+            records: core.records().to_vec(),
+        }
+        .to_value()
+    }
+
+    /// Restores a classifier snapshot onto an identically configured
+    /// detector by rebuilding from its records — a pure function of
+    /// (records, experts, selection config), so bit-identical to the
+    /// snapshotted original's incrementally grown state.
+    fn restore(core: &mut PromClassifier, state: &Value) -> Result<(), DeError> {
+        let snap = ClassifierSnapshot::from_value(state)?;
+        if snap.n_classes != core.n_classes() {
+            return Err(DeError::custom(format!(
+                "snapshot has {} classes, detector has {}",
+                snap.n_classes,
+                core.n_classes()
+            )));
+        }
+        core.restore_snapshot(
+            &snap.detector,
+            &snap.expert_names,
+            snap.base_len,
+            snap.records,
+            |_, _| Ok(()),
+        )
+    }
 }
 
 impl PromClassifier {
@@ -43,8 +140,9 @@ impl PromClassifier {
     ///
     /// # Errors
     ///
-    /// Returns [`PromError`] if the calibration set is empty or
-    /// inconsistent, or the configuration is out of range.
+    /// Returns [`PromError`] if the calibration set is empty, holds an
+    /// invalid record or records of different shapes, or the configuration
+    /// is out of range.
     pub fn new(records: Vec<CalibrationRecord>, config: PromConfig) -> Result<Self, PromError> {
         Self::with_experts(records, default_committee(), config)
     }
@@ -54,58 +152,13 @@ impl PromClassifier {
     ///
     /// # Errors
     ///
-    /// Returns [`PromError`] if the calibration set is empty or
-    /// inconsistent, the committee is empty, or the configuration is out of
-    /// range.
+    /// Same conditions as [`PromClassifier::new`], plus an empty committee.
     pub fn with_experts(
         records: Vec<CalibrationRecord>,
         experts: Vec<Box<dyn Nonconformity>>,
         config: PromConfig,
     ) -> Result<Self, PromError> {
-        if records.is_empty() {
-            return Err(PromError::EmptyCalibration);
-        }
-        if experts.is_empty() {
-            return Err(PromError::InvalidConfig { detail: "empty expert committee".into() });
-        }
-        config.validate().map_err(|detail| PromError::InvalidConfig { detail })?;
-        let emb_dim = records[0].embedding.len();
-        let n_classes = records[0].probs.len();
-        for (i, r) in records.iter().enumerate() {
-            if r.embedding.len() != emb_dim {
-                return Err(PromError::DimensionMismatch {
-                    detail: format!(
-                        "record {i} embedding has length {}, expected {emb_dim}",
-                        r.embedding.len()
-                    ),
-                });
-            }
-            if r.probs.len() != n_classes {
-                return Err(PromError::DimensionMismatch {
-                    detail: format!(
-                        "record {i} has {} classes, expected {n_classes}",
-                        r.probs.len()
-                    ),
-                });
-            }
-        }
-        let cal_scores = experts
-            .iter()
-            .map(|e| records.iter().map(|r| e.score(&r.probs, r.label)).collect())
-            .collect();
-        let kernel = ScoringKernel::new(
-            records.iter().map(|r| r.embedding.clone()).collect(),
-            records.iter().map(|r| r.label).collect(),
-            n_classes,
-            cal_scores,
-            SelectionConfig {
-                fraction: config.selection_fraction,
-                min_full_size: config.min_full_size,
-                tau: config.tau,
-            },
-        );
-        let base_len = records.len();
-        Ok(Self { records, experts, kernel, config, n_classes, base_len })
+        Self::build(records, config, |_| Ok(Classification { experts }))
     }
 
     /// Convenience constructor: runs `model` over the calibration inputs to
@@ -138,97 +191,7 @@ impl PromClassifier {
     /// Panics if `probs` has a different number of classes than the
     /// calibration records or `embedding` has the wrong dimension.
     pub fn judge(&self, embedding: &[f64], probs: &[f64]) -> PromJudgement {
-        self.judge_with(embedding, probs, &self.config)
-    }
-
-    /// Like [`PromClassifier::judge`], but with threshold parameters taken
-    /// from `config` instead of the stored configuration. Selection
-    /// parameters (`tau`, fraction, min size) still come from the stored
-    /// configuration, so grid search over ε / confidence thresholds does not
-    /// redo the calibration work.
-    pub fn judge_with(
-        &self,
-        embedding: &[f64],
-        probs: &[f64],
-        config: &PromConfig,
-    ) -> PromJudgement {
-        let mut scratch = JudgeScratch::new();
-        self.kernel.select(embedding, &mut scratch);
-        self.judge_selected(probs, config, &mut scratch)
-    }
-
-    /// Judges a window of predictions, reusing one scratch buffer for the
-    /// whole window — the batched hot path behind
-    /// [`DriftDetector::judge_batch`]. Returns the same judgements as
-    /// calling [`PromClassifier::judge`] per sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a class-count or embedding-dimension mismatch in any
-    /// sample.
-    pub fn judge_batch(&self, samples: &[Sample]) -> Vec<PromJudgement> {
-        self.judge_batch_with(samples, &self.config)
-    }
-
-    /// Like [`PromClassifier::judge_batch`], but with threshold parameters
-    /// from `config` (see [`PromClassifier::judge_with`]) — the batched
-    /// form behind ε/confidence sweeps.
-    pub fn judge_batch_with(&self, samples: &[Sample], config: &PromConfig) -> Vec<PromJudgement> {
-        let mut scratch = JudgeScratch::new();
-        self.judge_batch_scratch(samples, config, &mut scratch)
-    }
-
-    /// The shard entry point of the parallel deployment pipeline: judges a
-    /// window with a **caller-owned** scratch, so a pool shard can
-    /// reuse one [`JudgeScratch`] (which is `Send`) across every window
-    /// it judges instead of re-growing buffers per window. Judgements are
-    /// identical to [`PromClassifier::judge_batch_with`] — the scratch is
-    /// stateless between samples, and the window is selected in blocks of
-    /// `QUERY_BLOCK` samples (`ScoringKernel::select_each`).
-    pub fn judge_batch_scratch(
-        &self,
-        samples: &[Sample],
-        config: &PromConfig,
-        scratch: &mut JudgeScratch,
-    ) -> Vec<PromJudgement> {
-        let queries: Vec<&[f64]> = samples.iter().map(|s| s.embedding.as_slice()).collect();
-        let mut out = Vec::with_capacity(samples.len());
-        self.kernel.select_each(&queries, scratch, |i, scratch| {
-            out.push(self.judge_selected(&samples[i].outputs, config, scratch));
-        });
-        out
-    }
-
-    /// Scores and votes the sample whose Eq. 1 selection is already in
-    /// `scratch` — the tail shared by the single-sample and batched paths.
-    fn judge_selected(
-        &self,
-        probs: &[f64],
-        config: &PromConfig,
-        scratch: &mut JudgeScratch,
-    ) -> PromJudgement {
-        self.committee_p_values(probs, scratch);
-        let predicted = prom_ml::matrix::argmax(probs);
-        let verdicts: Vec<ExpertVerdict> = self
-            .experts
-            .iter()
-            .zip(scratch.p_values.chunks_exact(self.n_classes))
-            .map(|(expert, ps)| verdict_from_p_values(expert.name(), ps, predicted, config))
-            .collect();
-        let (accepted, reject_votes) = committee_accepts(&verdicts);
-        PromJudgement { accepted, reject_votes, verdicts }
-    }
-
-    /// Every expert's p-values for `probs` over the selection already in
-    /// `scratch`: fills the `E × L` test scores, then runs
-    /// [`ScoringKernel::p_values_all`] into `scratch.p_values`.
-    fn committee_p_values(&self, probs: &[f64], scratch: &mut JudgeScratch) {
-        assert_eq!(probs.len(), self.n_classes, "class-count mismatch");
-        scratch.test_scores.clear();
-        for expert in &self.experts {
-            scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(probs, y)));
-        }
-        self.kernel.p_values_all(scratch);
+        self.judge_with(embedding, probs, self.config())
     }
 
     /// Judges a window once and re-thresholds it under every configuration:
@@ -254,35 +217,14 @@ impl PromClassifier {
         let mut out: Vec<Vec<PromJudgement>> =
             (0..configs.len()).map(|_| Vec::with_capacity(samples.len())).collect();
         let queries: Vec<&[f64]> = samples.iter().map(|s| s.embedding.as_slice()).collect();
-        self.kernel.select_each(&queries, scratch, |i, scratch| {
-            self.fanout_selected(&samples[i], configs, scratch, &mut out);
+        self.kernel().select_each(&queries, scratch, |i, scratch| {
+            let predicted = self.committee_p_values(&samples[i].outputs, scratch);
+            for (config, judged) in configs.iter().zip(out.iter_mut()) {
+                let rows = scratch.p_values.chunks_exact(self.n_classes());
+                judged.push(self.vote(rows, predicted, config));
+            }
         });
         out
-    }
-
-    /// Scores the sample whose Eq. 1 selection is already in `scratch` once
-    /// for the whole committee and re-thresholds it under every fanned-out
-    /// configuration, appending one judgement per configuration to `out`.
-    fn fanout_selected(
-        &self,
-        s: &Sample,
-        configs: &[PromConfig],
-        scratch: &mut JudgeScratch,
-        out: &mut [Vec<PromJudgement>],
-    ) {
-        self.committee_p_values(&s.outputs, scratch);
-        let predicted = prom_ml::matrix::argmax(&s.outputs);
-        let mut verdicts: Vec<Vec<ExpertVerdict>> =
-            (0..configs.len()).map(|_| Vec::with_capacity(self.experts.len())).collect();
-        for (expert, ps) in self.experts.iter().zip(scratch.p_values.chunks_exact(self.n_classes)) {
-            for (config, per_config) in configs.iter().zip(verdicts.iter_mut()) {
-                per_config.push(verdict_from_p_values(expert.name(), ps, predicted, config));
-            }
-        }
-        for (per_config, judged) in verdicts.into_iter().zip(out.iter_mut()) {
-            let (accepted, reject_votes) = committee_accepts(&per_config);
-            judged.push(PromJudgement { accepted, reject_votes, verdicts: per_config });
-        }
     }
 
     /// Per-expert p-values for every candidate label (`result[e][y]`).
@@ -296,11 +238,10 @@ impl PromClassifier {
     /// Panics if `probs` has a different number of classes than the
     /// calibration records or `embedding` has the wrong dimension.
     pub fn expert_p_values(&self, embedding: &[f64], probs: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(probs.len(), self.n_classes, "class-count mismatch");
         let mut scratch = JudgeScratch::new();
-        self.kernel.select(embedding, &mut scratch);
+        self.kernel().select(embedding, &mut scratch);
         self.committee_p_values(probs, &mut scratch);
-        scratch.p_values.chunks_exact(self.n_classes).map(<[f64]>::to_vec).collect()
+        scratch.p_values.chunks_exact(self.n_classes()).map(<[f64]>::to_vec).collect()
     }
 
     /// Re-thresholds precomputed per-expert p-values (from
@@ -308,199 +249,52 @@ impl PromClassifier {
     /// vote without the conformal kernel, so ε/confidence sweeps pay the
     /// distance and p-value work once per sample instead of once per grid
     /// point. Returns the same judgement as
-    /// [`PromClassifier::judge_with`] on the sample the p-values came from.
+    /// [`Calibrated::judge_with`] on the sample the p-values came from.
     pub fn judgement_from_p_values(
         &self,
         p_values: &[Vec<f64>],
         predicted: usize,
         config: &PromConfig,
     ) -> PromJudgement {
-        assert_eq!(p_values.len(), self.experts.len(), "expert-count mismatch");
-        let verdicts: Vec<ExpertVerdict> = self
-            .experts
-            .iter()
-            .zip(p_values.iter())
-            .map(|(expert, ps)| verdict_from_p_values(expert.name(), ps, predicted, config))
-            .collect();
-        let (accepted, reject_votes) = committee_accepts(&verdicts);
-        PromJudgement { accepted, reject_votes, verdicts }
+        assert_eq!(p_values.len(), self.kind().experts.len(), "expert-count mismatch");
+        self.vote(p_values.iter().map(Vec::as_slice), predicted, config)
     }
 
     /// The prediction set (labels with p-value above ε) of the *first*
     /// expert — the set used for coverage assessment (Eq. 3).
     pub fn prediction_set(&self, embedding: &[f64], probs: &[f64]) -> Vec<usize> {
         let mut scratch = JudgeScratch::new();
-        self.kernel.select(embedding, &mut scratch);
-        let expert = &self.experts[0];
-        scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(probs, y)));
-        self.kernel.p_values_into(0, &mut scratch);
+        self.kernel().select(embedding, &mut scratch);
+        let expert = &self.kind().experts[0];
+        scratch.test_scores.extend((0..self.n_classes()).map(|y| expert.score(probs, y)));
+        self.kernel().p_values_into(0, &mut scratch);
         scratch
             .p_values
             .iter()
             .enumerate()
-            .filter(|&(_, &p)| p > self.config.epsilon)
+            .filter(|&(_, &p)| p > self.config().epsilon)
             .map(|(y, _)| y)
             .collect()
     }
 
     /// Replaces the calibration set (used after incremental retraining, when
-    /// the model and its calibration data are refreshed together).
+    /// the model and its calibration data are refreshed together). The
+    /// from-records rebuild that every incremental edit is bit-identical
+    /// to.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PromClassifier::new`].
+    /// Returns [`PromError`], leaving the detector unchanged, if the set is
+    /// empty or a record is invalid or shaped unlike the live set.
     pub fn recalibrate(&mut self, records: Vec<CalibrationRecord>) -> Result<(), PromError> {
-        let experts = std::mem::take(&mut self.experts);
-        let rebuilt = Self::with_experts(records, experts, self.config.clone())?;
-        *self = rebuilt;
-        Ok(())
-    }
-
-    /// Validates that `record` is shaped like the live calibration set.
-    fn check_record(&self, record: &CalibrationRecord) -> Result<(), PromError> {
-        if record.embedding.len() != self.records[0].embedding.len() {
-            return Err(PromError::DimensionMismatch {
-                detail: format!(
-                    "inserted embedding has length {}, expected {}",
-                    record.embedding.len(),
-                    self.records[0].embedding.len()
-                ),
-            });
-        }
-        if record.probs.len() != self.n_classes {
-            return Err(PromError::DimensionMismatch {
-                detail: format!(
-                    "inserted record has {} classes, expected {}",
-                    record.probs.len(),
-                    self.n_classes
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Grows the calibration set by one record **without a rebuild**: only
-    /// the new record's per-expert scores are computed and the scoring
-    /// kernel is appended in place — `O(experts)` per insert instead of
-    /// [`PromClassifier::recalibrate`]'s `O(n · experts)` refit. Judgements
-    /// afterwards are **bit-identical** to recalibrating with the same
-    /// record appended (`tests/recalibration_equivalence.rs`); this is the
-    /// fast path behind [`DriftDetector::absorb_relabeled`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PromError::DimensionMismatch`] if the record's embedding
-    /// or probability vector disagrees with the live calibration set.
-    pub fn insert_record(&mut self, record: CalibrationRecord) -> Result<(), PromError> {
-        self.check_record(&record)?;
-        let scores: Vec<f64> =
-            self.experts.iter().map(|e| e.score(&record.probs, record.label)).collect();
-        self.kernel.insert(record.embedding.clone(), record.label, &scores);
-        self.records.push(record);
-        Ok(())
-    }
-
-    /// Replaces calibration record `index` in place (`O(experts)`, no
-    /// rebuild) — the eviction path of a capped reservoir calibration set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PromError`] on an out-of-range index or a record that
-    /// fails [`PromClassifier::insert_record`]'s validation.
-    pub fn replace_record_at(
-        &mut self,
-        index: usize,
-        record: CalibrationRecord,
-    ) -> Result<(), PromError> {
-        if index >= self.records.len() {
-            return Err(PromError::InvalidConfig {
-                detail: format!(
-                    "record index {index} out of range for {} records",
-                    self.records.len()
-                ),
-            });
-        }
-        self.check_record(&record)?;
-        let scores: Vec<f64> =
-            self.experts.iter().map(|e| e.score(&record.probs, record.label)).collect();
-        self.kernel.replace(index, record.embedding.clone(), record.label, &scores);
-        self.records[index] = record;
-        Ok(())
-    }
-
-    /// Converts a relabeled deployment sample into a calibration record,
-    /// skipping anything the serving path may hand over that calibration
-    /// validation would reject: mismatched truth kind, out-of-range label,
-    /// NaN embedding, or a NaN probability vector — a NaN output would
-    /// produce NaN expert scores that count in every p-value denominator
-    /// but never the numerator, silently poisoning the label forever.
-    fn record_from_relabeled(&self, r: &Relabeled) -> Option<CalibrationRecord> {
-        let crate::detector::Truth::Label(label) = r.truth else {
-            return None;
-        };
-        if label >= r.sample.outputs.len()
-            || r.sample.embedding.iter().any(|v| v.is_nan())
-            || r.sample.outputs.iter().any(|v| v.is_nan())
-        {
-            return None;
-        }
-        Some(CalibrationRecord::new(r.sample.embedding.clone(), r.sample.outputs.clone(), label))
-    }
-
-    /// Number of calibration records.
-    pub fn calibration_len(&self) -> usize {
-        self.records.len()
+        self.rebuild(records)
     }
 
     /// Number of classes.
     pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PromConfig {
-        &self.config
-    }
-
-    /// Borrow the calibration records (used by the assessment module).
-    pub fn records(&self) -> &[CalibrationRecord] {
-        &self.records
-    }
-
-    /// Names of the experts on the committee.
-    pub fn expert_names(&self) -> Vec<&'static str> {
-        self.experts.iter().map(|e| e.name()).collect()
-    }
-
-    /// Number of design-time base records still live (see
-    /// [`DriftDetector::base_len`]). Construction and
-    /// [`PromClassifier::recalibrate`] treat the whole calibration set as
-    /// base; online absorbs append after it; eviction shrinks it.
-    pub fn base_record_len(&self) -> usize {
-        self.base_len
-    }
-
-    /// Retires the oldest design-time base record — the sliding-window
-    /// eviction path that lets online absorbs displace stale design-time
-    /// calibration. Both the record list and the scoring kernel shift down
-    /// by one, so the surviving state is **bit-identical** to a
-    /// from-scratch fit on the surviving records ([`ScoringKernel::remove`]
-    /// preserves score-bucket contents and `(distance, index)` tie-break
-    /// order). Returns `false` when no base records remain or eviction
-    /// would empty the calibration set.
-    pub fn evict_oldest_base_record(&mut self) -> bool {
-        if self.base_len == 0 || self.records.len() <= 1 {
-            return false;
-        }
-        self.records.remove(0);
-        self.kernel.remove(0);
-        self.base_len -= 1;
-        true
+        self.output_len()
     }
 }
-
-/// Snapshot tag distinguishing classifier snapshots from other detectors'.
-const CLASSIFIER_SNAPSHOT_TAG: &str = "prom-classifier";
 
 /// The portable state of a [`PromClassifier`]: the calibration records in
 /// order plus the live base/online split. The expert committee is a set of
@@ -516,153 +310,6 @@ struct ClassifierSnapshot {
     n_classes: usize,
     base_len: usize,
     records: Vec<CalibrationRecord>,
-}
-
-impl DriftDetector for PromClassifier {
-    fn name(&self) -> &'static str {
-        "PROM"
-    }
-
-    fn judge_one(&self, embedding: &[f64], outputs: &[f64]) -> Judgement {
-        Judgement::from(self.judge(embedding, outputs))
-    }
-
-    fn judge_batch(&self, samples: &[Sample]) -> Vec<Judgement> {
-        self.judge_batch(samples).into_iter().map(Judgement::from).collect()
-    }
-
-    /// Pool entry point: judge with the shard's reused scratch under
-    /// the stored configuration. Bit-identical to `judge_batch`.
-    fn judge_batch_scratch(
-        &self,
-        samples: &[Sample],
-        scratch: &mut JudgeScratch,
-    ) -> Vec<Judgement> {
-        self.judge_batch_scratch(samples, &self.config, scratch)
-            .into_iter()
-            .map(Judgement::from)
-            .collect()
-    }
-
-    /// Rich pool entry point: the same batched kernel, keeping the full
-    /// per-expert verdicts.
-    fn judge_batch_rich_scratch(
-        &self,
-        samples: &[Sample],
-        scratch: &mut JudgeScratch,
-    ) -> Option<Vec<PromJudgement>> {
-        Some(self.judge_batch_scratch(samples, &self.config, scratch))
-    }
-
-    fn calibration_size(&self) -> Option<usize> {
-        Some(self.records.len())
-    }
-
-    /// Incremental override: each valid relabel is folded in via
-    /// [`PromClassifier::insert_record`] — bit-identical in judgement to a
-    /// full `recalibrate` with the same records appended, at `O(experts)`
-    /// per record instead of a rebuild. Invalid relabels are skipped.
-    fn absorb_relabeled(&mut self, batch: &[Relabeled]) -> usize {
-        batch
-            .iter()
-            .filter(|r| {
-                self.record_from_relabeled(r)
-                    .is_some_and(|record| self.insert_record(record).is_ok())
-            })
-            .count()
-    }
-
-    fn can_absorb(&self, r: &Relabeled) -> bool {
-        self.record_from_relabeled(r).is_some_and(|record| self.check_record(&record).is_ok())
-    }
-
-    fn replace_record(&mut self, index: usize, r: &Relabeled) -> bool {
-        self.record_from_relabeled(r)
-            .is_some_and(|record| self.replace_record_at(index, record).is_ok())
-    }
-
-    fn base_len(&self) -> Option<usize> {
-        Some(self.base_len)
-    }
-
-    fn evict_oldest_base(&mut self) -> bool {
-        self.evict_oldest_base_record()
-    }
-
-    fn snapshot_state(&self) -> Option<Value> {
-        Some(
-            ClassifierSnapshot {
-                detector: CLASSIFIER_SNAPSHOT_TAG.to_string(),
-                expert_names: self.expert_names().iter().map(|n| n.to_string()).collect(),
-                n_classes: self.n_classes,
-                base_len: self.base_len,
-                records: self.records.clone(),
-            }
-            .to_value(),
-        )
-    }
-
-    /// Restores a classifier snapshot onto an identically configured
-    /// detector. Everything a rebuild could trip over is validated *before*
-    /// any mutation, so a rejected snapshot leaves the detector untouched;
-    /// the rebuild itself goes through [`PromClassifier::recalibrate`],
-    /// whose kernel is a pure function of (records, experts, selection
-    /// config) — bit-identical to the snapshotted original's incrementally
-    /// grown state (`tests/recalibration_equivalence.rs`).
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        let snap = ClassifierSnapshot::from_value(state)?;
-        if snap.detector != CLASSIFIER_SNAPSHOT_TAG {
-            return Err(DeError::custom(format!(
-                "snapshot is for detector kind {:?}, expected {CLASSIFIER_SNAPSHOT_TAG:?}",
-                snap.detector
-            )));
-        }
-        let live_names: Vec<String> = self.expert_names().iter().map(|n| n.to_string()).collect();
-        if snap.expert_names != live_names {
-            return Err(DeError::custom(format!(
-                "snapshot expert committee {:?} does not match live committee {live_names:?}",
-                snap.expert_names
-            )));
-        }
-        if snap.n_classes != self.n_classes {
-            return Err(DeError::custom(format!(
-                "snapshot has {} classes, detector has {}",
-                snap.n_classes, self.n_classes
-            )));
-        }
-        if snap.records.is_empty() {
-            return Err(DeError::custom("snapshot has no calibration records"));
-        }
-        if snap.base_len > snap.records.len() {
-            return Err(DeError::custom(format!(
-                "snapshot base_len {} exceeds its {} records",
-                snap.base_len,
-                snap.records.len()
-            )));
-        }
-        let emb_dim = self.records[0].embedding.len();
-        for (i, r) in snap.records.iter().enumerate() {
-            r.validate().map_err(|why| DeError::custom(format!("snapshot record {i}: {why}")))?;
-            if r.embedding.len() != emb_dim {
-                return Err(DeError::custom(format!(
-                    "snapshot record {i} embedding has length {}, detector expects {emb_dim}",
-                    r.embedding.len()
-                )));
-            }
-            if r.probs.len() != self.n_classes {
-                return Err(DeError::custom(format!(
-                    "snapshot record {i} has {} classes, detector expects {}",
-                    r.probs.len(),
-                    self.n_classes
-                )));
-            }
-        }
-        let base_len = snap.base_len;
-        self.recalibrate(snap.records)
-            .map_err(|e| DeError::custom(format!("snapshot calibration rejected: {e}")))?;
-        self.base_len = base_len;
-        Ok(())
-    }
 }
 
 /// A borrowed, threshold-only view of a shared [`PromClassifier`]: judges
@@ -1080,7 +727,7 @@ mod tests {
         };
         assert!(prom.restore_state(&snap.to_value()).is_err());
         // Mismatched committee.
-        snap.detector = CLASSIFIER_SNAPSHOT_TAG.to_string();
+        snap.detector = Classification::SNAPSHOT_TAG.to_string();
         snap.expert_names = vec!["LAC".to_string()];
         assert!(prom.restore_state(&snap.to_value()).is_err());
         // base_len beyond the record count.

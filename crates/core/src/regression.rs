@@ -10,11 +10,9 @@
 
 use prom_ml::cluster::{gap_statistic_k, KMeans};
 
-use crate::calibration::SelectionConfig;
-use crate::committee::{
-    committee_accepts, verdict_from_p_values, ExpertVerdict, PromConfig, PromJudgement,
-};
-use crate::detector::{DriftDetector, Judgement, Relabeled, Sample};
+use crate::calibrated::{Calibrated, DetectorKind};
+use crate::committee::{PromConfig, PromJudgement};
+use crate::detector::{Relabeled, Truth};
 use crate::scoring::{JudgeScratch, ScoringKernel};
 use crate::PromError;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -184,21 +182,187 @@ impl Default for PromRegressorConfig {
 }
 
 /// Drift detector for a deployed regression model.
-pub struct PromRegressor {
-    records: Vec<RegressionRecord>,
-    kmeans: KMeans,
+pub type PromRegressor = Calibrated<Regression>;
+
+/// The regression part of [`PromRegressor`]: records calibrate under the
+/// pseudo-label of a frozen design-time k-means model, scored by each
+/// [`RegressionNonconformity`] expert under a frozen residual scale; test
+/// samples are scored against a k-NN ground-truth proxy.
+pub struct Regression {
     experts: Vec<Box<dyn RegressionNonconformity>>,
-    /// The shared scoring kernel over pseudo-label clusters: calibration
-    /// embeddings, cluster labels, and every expert's residual scores.
-    kernel: ScoringKernel,
+    kmeans: KMeans,
     residual_scale: f64,
-    config: PromRegressorConfig,
-    /// How many of the leading `records` are design-time base records (see
-    /// [`PromClassifier::base_record_len`] — same base/online layout).
-    ///
-    /// [`PromClassifier::base_record_len`]:
-    /// crate::predictor::PromClassifier::base_record_len
-    base_len: usize,
+    knn_k: usize,
+    clusters: ClusterChoice,
+    seed: u64,
+}
+
+/// Fits the design-time pseudo-label model and residual scale over
+/// `records`: k-means with K from `clusters`, and the mean absolute
+/// residual.
+fn fit_clusters(
+    records: &[RegressionRecord],
+    clusters: ClusterChoice,
+    seed: u64,
+) -> Result<(KMeans, f64), PromError> {
+    let embeddings: Vec<Vec<f64>> = records.iter().map(|r| r.embedding.clone()).collect();
+    let k = match clusters {
+        ClusterChoice::Fixed(k) => {
+            if k == 0 {
+                return Err(PromError::InvalidConfig {
+                    detail: "cluster count must be >= 1".into(),
+                });
+            }
+            k.min(records.len())
+        }
+        ClusterChoice::GapStatistic { min_k, max_k } => {
+            if min_k == 0 || max_k < min_k {
+                return Err(PromError::InvalidConfig {
+                    detail: format!("bad gap-statistic range {min_k}..={max_k}"),
+                });
+            }
+            gap_statistic_k(&embeddings, min_k..=max_k.min(records.len()), 3, seed)
+        }
+    };
+    let kmeans = KMeans::fit(&embeddings, k, seed);
+    let residual_scale =
+        records.iter().map(|r| (r.prediction - r.target).abs()).sum::<f64>() / records.len() as f64;
+    Ok((kmeans, residual_scale))
+}
+
+impl DetectorKind for Regression {
+    type Record = RegressionRecord;
+
+    const SNAPSHOT_TAG: &'static str = "prom-regressor";
+
+    fn embedding(record: &RegressionRecord) -> &[f64] {
+        &record.embedding
+    }
+
+    fn record_output_len(_record: &RegressionRecord) -> usize {
+        1
+    }
+
+    fn validate(record: &RegressionRecord) -> Result<(), String> {
+        record.validate()
+    }
+
+    fn from_relabeled(r: &Relabeled) -> Option<RegressionRecord> {
+        let Truth::Target(target) = r.truth else {
+            return None;
+        };
+        let &[prediction] = &r.sample.outputs[..] else {
+            return None;
+        };
+        Some(RegressionRecord { embedding: r.sample.embedding.clone(), prediction, target })
+    }
+
+    fn expert_names(&self) -> impl ExactSizeIterator<Item = &'static str> + '_ {
+        self.experts.iter().map(|e| e.name())
+    }
+
+    fn n_labels(&self, _output_len: usize) -> usize {
+        self.kmeans.k()
+    }
+
+    fn output_len(&self, _kernel: &ScoringKernel) -> usize {
+        1
+    }
+
+    /// The record's pseudo-label under the frozen cluster model.
+    fn label(&self, record: &RegressionRecord) -> usize {
+        self.kmeans.assign(&record.embedding)
+    }
+
+    /// The record's residual score under the frozen residual scale.
+    fn score(&self, expert: usize, record: &RegressionRecord) -> f64 {
+        self.experts[expert].score(record.prediction, record.target, self.residual_scale)
+    }
+
+    /// Reuses the selection's distances for the k-NN ground-truth proxy
+    /// and the pseudo-label assignment instead of recomputing them.
+    fn test_scores(
+        &self,
+        records: &[RegressionRecord],
+        kernel: &ScoringKernel,
+        outputs: &[f64],
+        scratch: &mut JudgeScratch,
+    ) -> usize {
+        assert_eq!(outputs.len(), 1, "regression samples carry a single prediction in outputs");
+        // Ground-truth proxy: mean target of the knn_k nearest calibration
+        // samples (Sec. 5.1.1). The neighbour buffer rides in the scratch
+        // but is borrowed alongside it, so lift it out meanwhile.
+        let mut neighbours = std::mem::take(&mut scratch.neighbours);
+        kernel.nearest(scratch, self.knn_k, &mut neighbours);
+        let proxy_target =
+            neighbours.iter().map(|&i| records[i].target).sum::<f64>() / neighbours.len() as f64;
+        // Pseudo-label of the test input: the cluster of its nearest
+        // calibration sample (Sec. 5.1.2).
+        let assigned = kernel.labels()[neighbours[0]];
+        scratch.neighbours = neighbours;
+        // The residual score does not depend on the candidate cluster, but
+        // the per-cluster calibration populations do: each expert's row of
+        // the `E × L` test scores repeats one value.
+        scratch.test_scores.clear();
+        for expert in &self.experts {
+            let test_score = expert.score(outputs[0], proxy_target, self.residual_scale);
+            scratch.test_scores.extend(std::iter::repeat_n(test_score, kernel.n_labels()));
+        }
+        assigned
+    }
+
+    fn snapshot(core: &PromRegressor) -> Value {
+        RegressorSnapshot {
+            detector: Self::SNAPSHOT_TAG.to_string(),
+            expert_names: core.expert_names().into_iter().map(String::from).collect(),
+            base_len: core.base_record_len(),
+            centroids: core.kind().kmeans.centroids().to_vec(),
+            residual_scale: core.kind().residual_scale,
+            records: core.records().to_vec(),
+        }
+        .to_value()
+    }
+
+    /// Restores a regressor snapshot onto an identically configured
+    /// detector: the frozen pseudo-label model comes back via
+    /// [`KMeans::from_centroids`] (assignments are pure functions of
+    /// centroid values), the residual scale is taken verbatim, and the
+    /// score tables are rebuilt from the records — together bit-identical
+    /// to the snapshotted original.
+    fn restore(core: &mut PromRegressor, state: &Value) -> Result<(), DeError> {
+        let snap = RegressorSnapshot::from_value(state)?;
+        if !snap.residual_scale.is_finite() {
+            return Err(DeError::custom("snapshot residual scale is not finite"));
+        }
+        if snap.centroids.is_empty() {
+            return Err(DeError::custom("snapshot has no cluster centroids"));
+        }
+        let dim = core.embedding_dim();
+        for (i, c) in snap.centroids.iter().enumerate() {
+            if c.len() != dim {
+                return Err(DeError::custom(format!(
+                    "snapshot centroid {i} has dimension {}, detector expects {dim}",
+                    c.len()
+                )));
+            }
+            if c.iter().any(|v| v.is_nan()) {
+                return Err(DeError::custom(format!("snapshot centroid {i} contains NaN")));
+            }
+        }
+        let RegressorSnapshot {
+            detector,
+            expert_names,
+            base_len,
+            centroids,
+            residual_scale,
+            records,
+        } = snap;
+        core.restore_snapshot(&detector, &expert_names, base_len, records, |kind, _| {
+            kind.kmeans = KMeans::from_centroids(centroids);
+            kind.residual_scale = residual_scale;
+            Ok(())
+        })
+    }
 }
 
 impl PromRegressor {
@@ -206,8 +370,8 @@ impl PromRegressor {
     ///
     /// # Errors
     ///
-    /// Returns [`PromError`] on an empty or inconsistent calibration set or
-    /// invalid configuration.
+    /// Returns [`PromError`] on an empty calibration set, an invalid
+    /// record, records of different shapes, or an invalid configuration.
     pub fn new(
         records: Vec<RegressionRecord>,
         config: PromRegressorConfig,
@@ -219,89 +383,34 @@ impl PromRegressor {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PromRegressor::new`].
+    /// Same conditions as [`PromRegressor::new`], plus an empty committee.
     pub fn with_experts(
         records: Vec<RegressionRecord>,
         experts: Vec<Box<dyn RegressionNonconformity>>,
         config: PromRegressorConfig,
     ) -> Result<Self, PromError> {
-        if records.is_empty() {
-            return Err(PromError::EmptyCalibration);
-        }
-        if experts.is_empty() {
-            return Err(PromError::InvalidConfig { detail: "empty expert committee".into() });
-        }
         if config.knn_k == 0 {
             return Err(PromError::InvalidConfig { detail: "knn_k must be >= 1".into() });
         }
-        config.prom.validate().map_err(|detail| PromError::InvalidConfig { detail })?;
-        let emb_dim = records[0].embedding.len();
-        if let Some((i, r)) = records.iter().enumerate().find(|(_, r)| r.embedding.len() != emb_dim)
-        {
-            return Err(PromError::DimensionMismatch {
-                detail: format!(
-                    "record {i} embedding has length {}, expected {emb_dim}",
-                    r.embedding.len()
-                ),
-            });
-        }
-
-        let embeddings: Vec<Vec<f64>> = records.iter().map(|r| r.embedding.clone()).collect();
-        let k = match config.clusters {
-            ClusterChoice::Fixed(k) => {
-                if k == 0 {
-                    return Err(PromError::InvalidConfig {
-                        detail: "cluster count must be >= 1".into(),
-                    });
-                }
-                k.min(records.len())
-            }
-            ClusterChoice::GapStatistic { min_k, max_k } => {
-                if min_k == 0 || max_k < min_k {
-                    return Err(PromError::InvalidConfig {
-                        detail: format!("bad gap-statistic range {min_k}..={max_k}"),
-                    });
-                }
-                gap_statistic_k(&embeddings, min_k..=max_k.min(records.len()), 3, config.seed)
-            }
-        };
-        let kmeans = KMeans::fit(&embeddings, k, config.seed);
-        let cluster_labels: Vec<usize> = embeddings.iter().map(|e| kmeans.assign(e)).collect();
-
-        let residual_scale = records.iter().map(|r| (r.prediction - r.target).abs()).sum::<f64>()
-            / records.len() as f64;
-        let cal_scores: Vec<Vec<f64>> = experts
-            .iter()
-            .map(|e| {
-                records.iter().map(|r| e.score(r.prediction, r.target, residual_scale)).collect()
-            })
-            .collect();
-        let kernel = ScoringKernel::new(
-            embeddings,
-            cluster_labels,
-            kmeans.k(),
-            cal_scores,
-            SelectionConfig {
-                fraction: config.prom.selection_fraction,
-                min_full_size: config.prom.min_full_size,
-                tau: config.prom.tau,
-            },
-        );
-        let base_len = records.len();
-        Ok(Self { records, kmeans, experts, kernel, residual_scale, config, base_len })
+        let PromRegressorConfig { prom, knn_k, clusters, seed } = config;
+        Self::build(records, prom, |records| {
+            let (kmeans, residual_scale) = fit_clusters(records, clusters, seed)?;
+            Ok(Regression { experts, kmeans, residual_scale, knn_k, clusters, seed })
+        })
     }
 
     /// Approximates the deployment-time ground truth of a test input as the
     /// mean target of its `knn_k` nearest calibration samples (Sec. 5.1.1).
     pub fn approximate_target(&self, embedding: &[f64]) -> f64 {
         let mut neighbours = Vec::new();
-        self.kernel.k_nearest(
+        self.kernel().k_nearest(
             embedding,
-            self.config.knn_k,
+            self.kind().knn_k,
             &mut JudgeScratch::new(),
             &mut neighbours,
         );
-        neighbours.iter().map(|&i| self.records[i].target).sum::<f64>() / neighbours.len() as f64
+        let records = self.records();
+        neighbours.iter().map(|&i| records[i].target).sum::<f64>() / neighbours.len() as f64
     }
 
     /// Judges one deployment-time regression prediction.
@@ -310,309 +419,56 @@ impl PromRegressor {
     ///
     /// Panics on an embedding-dimension mismatch.
     pub fn judge(&self, embedding: &[f64], prediction: f64) -> PromJudgement {
-        let mut scratch = JudgeScratch::new();
-        let mut neighbours = Vec::new();
-        self.kernel.select(embedding, &mut scratch);
-        self.judge_selected(prediction, &mut scratch, &mut neighbours)
+        self.judge_with(embedding, &[prediction], self.config())
     }
 
-    /// Judges a window of predictions (`outputs[0]` of each sample is the
-    /// model's scalar estimate), reusing one scratch buffer for the whole
-    /// window. Returns the same judgements as calling
-    /// [`PromRegressor::judge`] per sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an embedding-dimension mismatch or a sample whose
-    /// `outputs` is not a single element.
-    pub fn judge_batch(&self, samples: &[Sample]) -> Vec<PromJudgement> {
-        let mut scratch = JudgeScratch::new();
-        self.judge_batch_scratch(samples, &mut scratch)
-    }
-
-    /// The shard entry point of the parallel deployment pipeline (the
-    /// regression twin of [`PromClassifier::judge_batch_scratch`]): judges
-    /// a window with one caller-owned scratch — whose `neighbours` field
-    /// doubles as the k-NN buffer — so a pool shard reuses one `Send`
-    /// scratch across every window it judges. The window is selected in
-    /// blocks of `QUERY_BLOCK` samples (`ScoringKernel::select_each`).
-    /// Judgements are identical to [`PromRegressor::judge_batch`].
-    ///
-    /// [`PromClassifier::judge_batch_scratch`]:
-    /// crate::predictor::PromClassifier::judge_batch_scratch
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`PromRegressor::judge_batch`].
-    pub fn judge_batch_scratch(
-        &self,
-        samples: &[Sample],
-        scratch: &mut JudgeScratch,
-    ) -> Vec<PromJudgement> {
-        // The neighbour buffer rides in the scratch but is borrowed
-        // alongside it, so lift it out for the window.
-        let mut neighbours = std::mem::take(&mut scratch.neighbours);
-        let queries: Vec<&[f64]> = samples.iter().map(|s| s.embedding.as_slice()).collect();
-        let mut judgements = Vec::with_capacity(samples.len());
-        self.kernel.select_each(&queries, scratch, |i, scratch| {
-            let outputs = &samples[i].outputs;
-            assert_eq!(outputs.len(), 1, "regression samples carry a single prediction in outputs");
-            judgements.push(self.judge_selected(outputs[0], scratch, &mut neighbours));
-        });
-        scratch.neighbours = neighbours;
-        judgements
-    }
-
-    /// Judges the sample whose Eq. 1 selection is already in `scratch` —
-    /// the tail shared by the single-sample and batched paths. The
-    /// selection's distances are reused for the k-NN ground-truth proxy
-    /// and the pseudo-label assignment instead of being recomputed.
-    fn judge_selected(
-        &self,
-        prediction: f64,
-        scratch: &mut JudgeScratch,
-        neighbours: &mut Vec<usize>,
-    ) -> PromJudgement {
-        // Ground-truth proxy: mean target of the knn_k nearest calibration
-        // samples (Sec. 5.1.1), from the selection's own distance pass.
-        self.kernel.nearest(scratch, self.config.knn_k, neighbours);
-        let proxy_target = neighbours.iter().map(|&i| self.records[i].target).sum::<f64>()
-            / neighbours.len() as f64;
-        // Pseudo-label of the test input: the cluster of its nearest
-        // calibration sample (Sec. 5.1.2).
-        let assigned = self.kernel.labels()[neighbours[0]];
-        let n_clusters = self.kmeans.k();
-
-        // The residual score does not depend on the candidate cluster, but
-        // the per-cluster calibration populations do: each expert's row of
-        // the `E × L` test scores repeats one value.
-        scratch.test_scores.clear();
-        for expert in &self.experts {
-            let test_score = expert.score(prediction, proxy_target, self.residual_scale);
-            scratch.test_scores.extend(std::iter::repeat_n(test_score, n_clusters));
-        }
-        self.kernel.p_values_all(scratch);
-        let verdicts: Vec<ExpertVerdict> = self
-            .experts
-            .iter()
-            .zip(scratch.p_values.chunks_exact(n_clusters))
-            .map(|(expert, ps)| {
-                verdict_from_p_values(expert.name(), ps, assigned, &self.config.prom)
-            })
-            .collect();
-        let (accepted, reject_votes) = committee_accepts(&verdicts);
-        PromJudgement { accepted, reject_votes, verdicts }
-    }
-
-    /// Replaces the calibration set (after incremental retraining).
+    /// Replaces the calibration set after the model is retrained: refits
+    /// the pseudo-label model and residual scale over `records`, then
+    /// rebuilds like [`PromRegressor::recalibrate_frozen_clusters`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PromRegressor::new`].
+    /// Returns [`PromError`], leaving the detector unchanged, if the set is
+    /// empty or a record is invalid or shaped unlike the live set.
     pub fn recalibrate(&mut self, records: Vec<RegressionRecord>) -> Result<(), PromError> {
-        let experts = std::mem::take(&mut self.experts);
-        let rebuilt = Self::with_experts(records, experts, self.config.clone())?;
-        *self = rebuilt;
-        Ok(())
-    }
-
-    /// Validates that `record` is shaped like the live calibration set.
-    fn check_record(&self, record: &RegressionRecord) -> Result<(), PromError> {
-        if record.embedding.len() != self.records[0].embedding.len() {
-            return Err(PromError::DimensionMismatch {
-                detail: format!(
-                    "inserted embedding has length {}, expected {}",
-                    record.embedding.len(),
-                    self.records[0].embedding.len()
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// The (pseudo-label, per-expert scores) a record calibrates under,
-    /// given the frozen design-time cluster model and residual scale.
-    fn score_record(&self, record: &RegressionRecord) -> (usize, Vec<f64>) {
-        let label = self.kmeans.assign(&record.embedding);
-        let scores = self
-            .experts
-            .iter()
-            .map(|e| e.score(record.prediction, record.target, self.residual_scale))
-            .collect();
-        (label, scores)
-    }
-
-    /// Grows the calibration set by one record **without a rebuild**,
-    /// keeping the design-time pseudo-label model frozen: the record is
-    /// assigned to its nearest existing cluster, scored by every residual
-    /// expert under the frozen residual scale, and appended to the scoring
-    /// kernel in place. Judgements afterwards are **bit-identical** to
-    /// [`PromRegressor::recalibrate_frozen_clusters`] over the same records
-    /// (`tests/recalibration_equivalence.rs`).
-    ///
-    /// Clustering (and the residual scale) are *design-time* artifacts: the
-    /// Sec. 5.4 loop folds relabeled samples into the calibration set, it
-    /// does not re-derive the pseudo-label space — use the full
-    /// [`PromRegressor::recalibrate`] when the model itself is retrained.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PromError::DimensionMismatch`] on an embedding-length
-    /// mismatch.
-    pub fn insert_record(&mut self, record: RegressionRecord) -> Result<(), PromError> {
-        self.check_record(&record)?;
-        let (label, scores) = self.score_record(&record);
-        self.kernel.insert(record.embedding.clone(), label, &scores);
-        self.records.push(record);
-        Ok(())
-    }
-
-    /// Replaces calibration record `index` in place (no rebuild), under the
-    /// same frozen-model semantics as [`PromRegressor::insert_record`] —
-    /// the eviction path of a capped reservoir calibration set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PromError`] on an out-of-range index or an
-    /// embedding-length mismatch.
-    pub fn replace_record_at(
-        &mut self,
-        index: usize,
-        record: RegressionRecord,
-    ) -> Result<(), PromError> {
-        if index >= self.records.len() {
-            return Err(PromError::InvalidConfig {
-                detail: format!(
-                    "record index {index} out of range for {} records",
-                    self.records.len()
-                ),
-            });
-        }
-        self.check_record(&record)?;
-        let (label, scores) = self.score_record(&record);
-        self.kernel.replace(index, record.embedding.clone(), label, &scores);
-        self.records[index] = record;
-        Ok(())
+        self.rebuild_with(records, |kind, records| {
+            (kind.kmeans, kind.residual_scale) = fit_clusters(records, kind.clusters, kind.seed)?;
+            Ok(())
+        })
     }
 
     /// Rebuilds the score tables from scratch over `records` while keeping
     /// the design-time pseudo-label model (cluster centroids and count) and
     /// residual scale — the full-refit **reference** for the incremental
-    /// [`PromRegressor::insert_record`] path, and the recalibration to use
+    /// [`Calibrated::insert_record`] path, and the recalibration to use
     /// when the calibration set changes wholesale but the underlying model
     /// (and therefore its embedding space) has not been retrained.
     ///
+    /// Clustering (and the residual scale) are *design-time* artifacts:
+    /// the Sec. 5.4 loop folds relabeled samples into the calibration set
+    /// under them, it does not re-derive the pseudo-label space.
+    ///
     /// # Errors
     ///
-    /// Returns [`PromError`] on an empty record set or inconsistent
-    /// embedding dimensions.
+    /// Returns [`PromError`], leaving the detector unchanged, if the set is
+    /// empty or a record is invalid or shaped unlike the live set.
     pub fn recalibrate_frozen_clusters(
         &mut self,
         records: Vec<RegressionRecord>,
     ) -> Result<(), PromError> {
-        if records.is_empty() {
-            return Err(PromError::EmptyCalibration);
-        }
-        let emb_dim = self.records[0].embedding.len();
-        if let Some((i, r)) = records.iter().enumerate().find(|(_, r)| r.embedding.len() != emb_dim)
-        {
-            return Err(PromError::DimensionMismatch {
-                detail: format!(
-                    "record {i} embedding has length {}, expected {emb_dim}",
-                    r.embedding.len()
-                ),
-            });
-        }
-        let embeddings: Vec<Vec<f64>> = records.iter().map(|r| r.embedding.clone()).collect();
-        let labels: Vec<usize> = embeddings.iter().map(|e| self.kmeans.assign(e)).collect();
-        let cal_scores: Vec<Vec<f64>> = self
-            .experts
-            .iter()
-            .map(|e| {
-                records
-                    .iter()
-                    .map(|r| e.score(r.prediction, r.target, self.residual_scale))
-                    .collect()
-            })
-            .collect();
-        self.kernel = ScoringKernel::new(
-            embeddings,
-            labels,
-            self.kmeans.k(),
-            cal_scores,
-            SelectionConfig {
-                fraction: self.config.prom.selection_fraction,
-                min_full_size: self.config.prom.min_full_size,
-                tau: self.config.prom.tau,
-            },
-        );
-        self.base_len = records.len();
-        self.records = records;
-        Ok(())
-    }
-
-    /// Converts a relabeled deployment sample into a regression record,
-    /// skipping anything calibration validation would reject.
-    fn record_from_relabeled(&self, r: &Relabeled) -> Option<RegressionRecord> {
-        let crate::detector::Truth::Target(target) = r.truth else {
-            return None;
-        };
-        let &[prediction] = &r.sample.outputs[..] else {
-            return None;
-        };
-        if !target.is_finite()
-            || !prediction.is_finite()
-            || r.sample.embedding.iter().any(|v| v.is_nan())
-        {
-            return None;
-        }
-        Some(RegressionRecord::new(r.sample.embedding.clone(), prediction, target))
+        self.rebuild(records)
     }
 
     /// Number of pseudo-label clusters in use.
     pub fn n_clusters(&self) -> usize {
-        self.kmeans.k()
-    }
-
-    /// Number of calibration records.
-    pub fn calibration_len(&self) -> usize {
-        self.records.len()
+        self.kind().kmeans.k()
     }
 
     /// The robust residual scale of the calibration set.
     pub fn residual_scale(&self) -> f64 {
-        self.residual_scale
-    }
-
-    /// Names of the residual experts on the committee.
-    pub fn expert_names(&self) -> Vec<&'static str> {
-        self.experts.iter().map(|e| e.name()).collect()
-    }
-
-    /// Number of design-time base records still live (see
-    /// [`DriftDetector::base_len`]).
-    pub fn base_record_len(&self) -> usize {
-        self.base_len
-    }
-
-    /// Retires the oldest design-time base record: records and kernel shift
-    /// down one, leaving state bit-identical to
-    /// [`PromRegressor::recalibrate_frozen_clusters`] over the surviving
-    /// records. Returns `false` when no base records remain or eviction
-    /// would empty the calibration set.
-    pub fn evict_oldest_base_record(&mut self) -> bool {
-        if self.base_len == 0 || self.records.len() <= 1 {
-            return false;
-        }
-        self.records.remove(0);
-        self.kernel.remove(0);
-        self.base_len -= 1;
-        true
+        self.kind().residual_scale
     }
 }
-
-/// Snapshot tag distinguishing regressor snapshots from other detectors'.
-const REGRESSOR_SNAPSHOT_TAG: &str = "prom-regressor";
 
 /// The portable state of a [`PromRegressor`]: the calibration records in
 /// order, the base/online split, and the **frozen design-time artifacts** a
@@ -630,167 +486,10 @@ struct RegressorSnapshot {
     records: Vec<RegressionRecord>,
 }
 
-impl DriftDetector for PromRegressor {
-    fn name(&self) -> &'static str {
-        "PROM"
-    }
-
-    /// `outputs` must be a single-element slice holding the model's scalar
-    /// prediction (see [`Sample::regression`]).
-    fn judge_one(&self, embedding: &[f64], outputs: &[f64]) -> Judgement {
-        assert_eq!(outputs.len(), 1, "regression samples carry a single prediction in outputs");
-        Judgement::from(self.judge(embedding, outputs[0]))
-    }
-
-    fn judge_batch(&self, samples: &[Sample]) -> Vec<Judgement> {
-        self.judge_batch(samples).into_iter().map(Judgement::from).collect()
-    }
-
-    /// Pool entry point: judge with the shard's reused scratch (its
-    /// `neighbours` field carries the k-NN buffer). Bit-identical to
-    /// `judge_batch`.
-    fn judge_batch_scratch(
-        &self,
-        samples: &[Sample],
-        scratch: &mut JudgeScratch,
-    ) -> Vec<Judgement> {
-        self.judge_batch_scratch(samples, scratch).into_iter().map(Judgement::from).collect()
-    }
-
-    /// Rich pool entry point: the same batched kernel, keeping the full
-    /// per-expert verdicts.
-    fn judge_batch_rich_scratch(
-        &self,
-        samples: &[Sample],
-        scratch: &mut JudgeScratch,
-    ) -> Option<Vec<PromJudgement>> {
-        Some(self.judge_batch_scratch(samples, scratch))
-    }
-
-    fn calibration_size(&self) -> Option<usize> {
-        Some(self.records.len())
-    }
-
-    /// Incremental override: each valid relabel is folded in via
-    /// [`PromRegressor::insert_record`] under the frozen design-time
-    /// pseudo-label model — bit-identical in judgement to
-    /// [`PromRegressor::recalibrate_frozen_clusters`] over the same
-    /// records. Invalid relabels are skipped.
-    fn absorb_relabeled(&mut self, batch: &[Relabeled]) -> usize {
-        batch
-            .iter()
-            .filter(|r| {
-                self.record_from_relabeled(r)
-                    .is_some_and(|record| self.insert_record(record).is_ok())
-            })
-            .count()
-    }
-
-    fn can_absorb(&self, r: &Relabeled) -> bool {
-        self.record_from_relabeled(r).is_some_and(|record| self.check_record(&record).is_ok())
-    }
-
-    fn replace_record(&mut self, index: usize, r: &Relabeled) -> bool {
-        self.record_from_relabeled(r)
-            .is_some_and(|record| self.replace_record_at(index, record).is_ok())
-    }
-
-    fn base_len(&self) -> Option<usize> {
-        Some(self.base_len)
-    }
-
-    fn evict_oldest_base(&mut self) -> bool {
-        self.evict_oldest_base_record()
-    }
-
-    fn snapshot_state(&self) -> Option<Value> {
-        Some(
-            RegressorSnapshot {
-                detector: REGRESSOR_SNAPSHOT_TAG.to_string(),
-                expert_names: self.expert_names().iter().map(|n| n.to_string()).collect(),
-                base_len: self.base_len,
-                centroids: self.kmeans.centroids().to_vec(),
-                residual_scale: self.residual_scale,
-                records: self.records.clone(),
-            }
-            .to_value(),
-        )
-    }
-
-    /// Restores a regressor snapshot onto an identically configured
-    /// detector: the frozen pseudo-label model comes back via
-    /// [`KMeans::from_centroids`] (assignments are pure functions of
-    /// centroid values), the residual scale is taken verbatim, and the
-    /// score tables are rebuilt through
-    /// [`PromRegressor::recalibrate_frozen_clusters`] — together
-    /// bit-identical to the snapshotted original. Everything is validated
-    /// before any mutation, so a rejected snapshot leaves the detector
-    /// untouched.
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        let snap = RegressorSnapshot::from_value(state)?;
-        if snap.detector != REGRESSOR_SNAPSHOT_TAG {
-            return Err(DeError::custom(format!(
-                "snapshot is for detector kind {:?}, expected {REGRESSOR_SNAPSHOT_TAG:?}",
-                snap.detector
-            )));
-        }
-        let live_names: Vec<String> = self.expert_names().iter().map(|n| n.to_string()).collect();
-        if snap.expert_names != live_names {
-            return Err(DeError::custom(format!(
-                "snapshot expert committee {:?} does not match live committee {live_names:?}",
-                snap.expert_names
-            )));
-        }
-        if snap.records.is_empty() {
-            return Err(DeError::custom("snapshot has no calibration records"));
-        }
-        if snap.base_len > snap.records.len() {
-            return Err(DeError::custom(format!(
-                "snapshot base_len {} exceeds its {} records",
-                snap.base_len,
-                snap.records.len()
-            )));
-        }
-        if !snap.residual_scale.is_finite() {
-            return Err(DeError::custom("snapshot residual scale is not finite"));
-        }
-        let emb_dim = self.records[0].embedding.len();
-        for (i, r) in snap.records.iter().enumerate() {
-            r.validate().map_err(|why| DeError::custom(format!("snapshot record {i}: {why}")))?;
-            if r.embedding.len() != emb_dim {
-                return Err(DeError::custom(format!(
-                    "snapshot record {i} embedding has length {}, detector expects {emb_dim}",
-                    r.embedding.len()
-                )));
-            }
-        }
-        if snap.centroids.is_empty() {
-            return Err(DeError::custom("snapshot has no cluster centroids"));
-        }
-        for (i, c) in snap.centroids.iter().enumerate() {
-            if c.len() != emb_dim {
-                return Err(DeError::custom(format!(
-                    "snapshot centroid {i} has dimension {}, detector expects {emb_dim}",
-                    c.len()
-                )));
-            }
-            if c.iter().any(|v| v.is_nan()) {
-                return Err(DeError::custom(format!("snapshot centroid {i} contains NaN")));
-            }
-        }
-        let base_len = snap.base_len;
-        self.kmeans = KMeans::from_centroids(snap.centroids);
-        self.residual_scale = snap.residual_scale;
-        self.recalibrate_frozen_clusters(snap.records)
-            .map_err(|e| DeError::custom(format!("snapshot calibration rejected: {e}")))?;
-        self.base_len = base_len;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::{DriftDetector, Sample};
 
     /// Calibration set: y = 2x over two separated input clusters, with an
     /// accurate model (prediction ≈ target).

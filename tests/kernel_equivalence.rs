@@ -1,13 +1,13 @@
-//! Kernel equivalence: the hardware-fast distance kernel (blocked SoA
-//! calibration store, chunked squared-distance accumulation, norm-bound
-//! pruning with partial-distance early exit, `select_nth_unstable` k-NN)
+//! Kernel equivalence: the hardware-fast distance kernel (lane-grouped
+//! calibration store, blocked multi-query squared-distance pass,
+//! `select_nth_unstable` partition of the kept set, insertion-select k-NN)
 //! exists purely to make judging faster — it must never change an output
 //! bit. This tier proves, end to end:
 //!
 //! * **p-values are bit-identical to the scalar reference** — the retained
 //!   `select_weighted_subset` full-sort path plus the shared `p_values`
 //!   arithmetic — for every `ScoringKernel` selection regime
-//!   (keep-everything, partition, norm-bound pruned heap) across
+//!   (keep-everything, partition at keep n/2 and at keep n/10) across
 //!   calibration sizes {1, 7, 1000} × embedding dims {1, 3, 17}, on
 //!   in-distribution, drifted, exact-duplicate, and NaN test embeddings
 //!   (the NaN → +inf distance rule must survive squared-distance space);
@@ -15,7 +15,7 @@
 //!   re-thresholding the reference p-values;
 //! * **incremental state keeps the invariant**: after `insert_record` /
 //!   `replace_record_at` (including duplicate embeddings), the optimized
-//!   store and its cached norms still reproduce the reference bit-for-bit;
+//!   lane-grouped store still reproduces the reference bit-for-bit;
 //! * **k-NN is order-identical**: `k_nearest` / `k_nearest_flat` equal a
 //!   full-sort reference under the canonical `(d², index)` key, duplicate
 //!   distances and NaN rows included;
@@ -47,10 +47,11 @@ use prom::ml::matrix::{argmax, l2_distance_sq};
 const SIZES: [usize; 3] = [1, 7, 1000];
 const DIMS: [usize; 3] = [1, 3, 17];
 
-/// One configuration per `ScoringKernel` selection regime. The names
-/// document which code path each engages at n = 1000: keep-everything
-/// (n < min_full_size), the `select_nth_unstable` partition
-/// (keep = n/2 > n/4), and the norm-bound pruned heap (keep = n/10 ≤ n/4).
+/// One configuration per `ScoringKernel` selection regime at n = 1000:
+/// keep-everything (n < min_full_size), and the `select_nth_unstable`
+/// partition at keep = n/2 and at keep = n/10. The `pruned` row keeps its
+/// name from the norm-bound pruned scan that once ran at small keep
+/// fractions; the partition path now runs there too.
 fn path_configs() -> [(&'static str, PromConfig); 3] {
     let base = PromConfig { tau: 10.0, ..PromConfig::default() };
     [
@@ -97,8 +98,8 @@ fn probes(records: &[CalibrationRecord], dim: usize) -> Vec<Vec<f64>> {
 
 /// The scalar reference: full-sort subset selection
 /// (`select_weighted_subset`, the documented reference path) feeding the
-/// shared weighted p-value arithmetic — no SoA store, no partition, no
-/// pruning, no early exit.
+/// shared weighted p-value arithmetic — no lane-grouped store, no blocked
+/// distance pass, no partition.
 fn reference_p_values(
     records: &[CalibrationRecord],
     config: &PromConfig,
@@ -192,14 +193,14 @@ fn classifier_p_values_match_scalar_reference_across_sizes_dims_and_paths() {
 #[test]
 fn post_insert_and_replace_state_still_matches_the_reference() {
     for dim in DIMS {
-        let (path, config) = path_configs()[2].clone(); // pruned: norms must track edits
+        let (path, config) = path_configs()[2].clone(); // keep n/10: edits move the boundary
         let mut prom = PromClassifier::new(records(120, dim), config.clone()).unwrap();
         // Grow through the incremental path, duplicates included.
         for record in records(160, dim).into_iter().skip(120) {
             prom.insert_record(record).unwrap();
         }
-        // Replace across the store: a far record (stressing the norm
-        // bound), an exact duplicate of a neighbour, and a boundary slot.
+        // Replace across the store: a far record (leaving the kept set),
+        // an exact duplicate of a neighbour, and a boundary slot.
         let far = CalibrationRecord::new(vec![250.0; dim], vec![0.2, 0.7, 0.1], 1);
         prom.replace_record_at(7, far).unwrap();
         let duplicate = prom.records()[62].clone();
@@ -208,7 +209,7 @@ fn post_insert_and_replace_state_still_matches_the_reference() {
         let swap = prom.records()[0].clone();
         prom.replace_record_at(last, swap).unwrap();
         // The reference is rebuilt from the classifier's own live records,
-        // so any stale store row, label, score, or cached norm shows up.
+        // so any stale store lane, label, or score shows up.
         let live: Vec<CalibrationRecord> = prom.records().to_vec();
         assert_classifier_matches_reference(
             &prom,
@@ -394,8 +395,7 @@ proptest! {
     /// Integer-grid embeddings make almost every distance a duplicate, so
     /// the keep boundary of every selection regime lands on a tie class —
     /// exactly where `(d², index)` tie-breaking must agree between the
-    /// partition, the pruned heap, the early exit, and the full-sort
-    /// reference. A quarter of the cases probe with a NaN coordinate.
+    /// partition (at every keep fraction) and the full-sort reference. A quarter of the cases probe with a NaN coordinate.
     #[test]
     fn kernel_paths_match_reference_under_duplicate_ties_and_nan(
         grid in proptest::collection::vec((0usize..3, 0i32..4), 4..48),

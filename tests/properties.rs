@@ -671,3 +671,117 @@ mod drift_annotations {
         }
     }
 }
+
+// --- Snapshot restore totality ------------------------------------------
+//
+// A snapshot is read back from bytes the process did not write itself, so
+// the one restore path both Prom detectors share must be total: no edit of
+// a real snapshot's JSON may panic it, and a rejected snapshot must leave
+// the detector exactly as it was.
+
+mod snapshot_restore {
+    use super::*;
+    use prom::core::calibration::CalibrationRecord;
+    use prom::core::committee::PromConfig;
+    use prom::core::predictor::PromClassifier;
+    use prom::core::regression::{
+        ClusterChoice, PromRegressor, PromRegressorConfig, RegressionRecord,
+    };
+    use serde::Value;
+
+    /// Short numbers keep the snapshot's labels, counts and structure a
+    /// large share of its bytes, so edits reach the record checks often.
+    fn classifier() -> PromClassifier {
+        let records = (0..12)
+            .map(|i| {
+                let label = i % 3;
+                let mut probs = vec![0.25; 3];
+                probs[label] = 0.5;
+                CalibrationRecord::new(vec![(i % 5) as f64, label as f64], probs, label)
+            })
+            .collect();
+        PromClassifier::new(records, PromConfig::default()).expect("valid records")
+    }
+
+    fn regressor() -> PromRegressor {
+        let records = (0..12)
+            .map(|i| {
+                let x = ((i % 2) * 8 + i % 3) as f64;
+                RegressionRecord::new(vec![x, 1.0], 2.0 * x + 0.5, 2.0 * x)
+            })
+            .collect();
+        let config =
+            PromRegressorConfig { clusters: ClusterChoice::Fixed(2), ..Default::default() };
+        PromRegressor::new(records, config).expect("valid records")
+    }
+
+    /// The JSON snapshot of `detector` after two absorbs and one base
+    /// eviction, so the base/online split is not trivial.
+    fn grown_snapshot(detector: &mut dyn DriftDetector, relabels: &[Relabeled]) -> String {
+        assert_eq!(detector.absorb_relabeled(relabels), relabels.len());
+        assert!(detector.evict_oldest_base());
+        serde::to_json_string(&detector.snapshot_state().expect("Prom snapshots"))
+    }
+
+    /// Bytes an edit writes: digits most often, so that most edited
+    /// snapshots still parse and reach the detector's own checks.
+    const PALETTE: &[u8] = b"0123456789012345678-.e,:[]{}\"n ";
+
+    /// `json` after one edit at the non-whitespace byte at relative
+    /// position `at`: cut there, that byte deleted, or that byte replaced
+    /// by `PALETTE[byte]`. Snapshots print ASCII, so every edit leaves
+    /// valid UTF-8.
+    fn corrupt(json: &str, edit: usize, at: f64, byte: usize) -> String {
+        let mut bytes = json.as_bytes().to_vec();
+        let solid: Vec<usize> =
+            (0..bytes.len()).filter(|&i| !bytes[i].is_ascii_whitespace()).collect();
+        let at = solid[((solid.len() as f64 * at) as usize).min(solid.len() - 1)];
+        match edit {
+            0 => bytes.truncate(at),
+            1 => {
+                bytes.remove(at);
+            }
+            _ => bytes[at] = PALETTE[byte],
+        }
+        String::from_utf8(bytes).expect("snapshots print ASCII")
+    }
+
+    /// Restores `text` onto `detector`; on any error, the detector's own
+    /// snapshot must print the same bytes as before.
+    fn restore_is_total(detector: &mut dyn DriftDetector, text: &str) -> Result<(), TestCaseError> {
+        let before = serde::to_json_string(&detector.snapshot_state().expect("Prom snapshots"));
+        let restored =
+            serde::from_json_str::<Value>(text).and_then(|state| detector.restore_state(&state));
+        if restored.is_err() {
+            let after = serde::to_json_string(&detector.snapshot_state().expect("Prom snapshots"));
+            prop_assert!(after == before, "a rejected restore changed the detector");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// Truncated, byte-deleted and byte-replaced snapshots of both
+        /// detector kinds never panic the restore, and a rejected one
+        /// changes nothing.
+        #[test]
+        fn corrupt_snapshots_never_panic_and_rejections_change_nothing(
+            edit in 0usize..3,
+            at in 0.0f64..1.0,
+            byte in 0usize..PALETTE.len(),
+        ) {
+            let relabels: Vec<Relabeled> = (0..2)
+                .map(|i| Relabeled::labeled(Sample::new(vec![i as f64, 0.5], vec![0.25, 0.5, 0.25]), 1))
+                .collect();
+            let json = grown_snapshot(&mut classifier(), &relabels);
+            restore_is_total(&mut classifier(), &corrupt(&json, edit, at, byte))?;
+
+            let relabels: Vec<Relabeled> = (0..2)
+                .map(|i| Relabeled::measured(Sample::regression(vec![i as f64, 1.0], 1.5), 1.0))
+                .collect();
+            let json = grown_snapshot(&mut regressor(), &relabels);
+            restore_is_total(&mut regressor(), &corrupt(&json, edit, at, byte))?;
+        }
+    }
+}
