@@ -14,16 +14,22 @@
 //!   credibility/confidence scores from a single nonconformity function feed
 //!   a **trained SVM** that classifies predictions as trustworthy or not.
 //!
-//! All three implement [`prom_core::detector::DriftDetector`] — the same
-//! deployment-time interface as Prom itself — and share
-//! [`prom_core::scoring::ScoreTable`], the per-label calibration score
-//! table pre-sorted at construction, so every full-set p-value is a binary
-//! search rather than a linear scan.
+//! All three are one generic type, [`ledger::Ledgered`], over the part
+//! that differs ([`ledger::BaselineKind`]: the name, the judge and the
+//! frozen artifact — ε, the thresholds or the SVM). The core owns the
+//! [`prom_core::scoring::ScoreTable`], the per-label LAC score table
+//! pre-sorted at construction (so every full-set p-value is a binary search
+//! rather than a linear scan), with its base and absorbed ledgers, and
+//! implements [`prom_core::detector::DriftDetector`] once — the same
+//! deployment interface as Prom itself, with the same online-calibration
+//! lifecycle (absorb, reservoir replacement, base eviction,
+//! snapshot/restore).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
-pub(crate) mod ledger;
+pub mod ledger;
 pub mod naive_cp;
 pub mod rise;
 pub mod tesseract;

@@ -7,27 +7,17 @@
 //! each judgement costs one binary search.
 
 use prom_core::calibration::CalibrationRecord;
-use prom_core::detector::{DriftDetector, Judgement, Relabeled, Truth};
-use prom_core::nonconformity::{Lac, Nonconformity};
-use prom_core::scoring::ScoreTable;
+use prom_core::scoring::{JudgeScratch, ScoreTable};
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::ledger;
+use crate::ledger::{BaselineKind, Entry, Ledger, Ledgered};
 
 /// A plain split-CP misprediction detector.
-pub struct NaiveCp {
-    table: ScoreTable,
+pub type NaiveCp = Ledgered<SplitCp>;
+
+/// The naive split-CP part of [`NaiveCp`]: reject below ε.
+pub struct SplitCp {
     epsilon: f64,
-    /// `(label, score)` of each design-time base record still live, oldest
-    /// first — shrunk from the front by `evict_oldest_base`. Records at
-    /// indices below `base.len()` are never evicted by the online
-    /// reservoir, so the live base length is the slot offset for
-    /// `replace_record`.
-    base: Vec<(usize, f64)>,
-    /// `(label, score)` of each record absorbed online, in absorb order —
-    /// the bookkeeping `replace_record` needs to evict a reservoir slot
-    /// from the pre-sorted table.
-    absorbed: Vec<(usize, f64)>,
 }
 
 impl NaiveCp {
@@ -39,46 +29,15 @@ impl NaiveCp {
     pub fn new(records: &[CalibrationRecord], epsilon: f64) -> Self {
         assert!(!records.is_empty(), "empty calibration set");
         assert!((0.0..1.0).contains(&epsilon), "epsilon out of range");
-        Self {
-            table: ScoreTable::from_records(records, &Lac, records[0].probs.len()),
-            epsilon,
-            base: ledger::base_entries(records),
-            absorbed: Vec::new(),
-        }
-    }
-
-    /// Borrows the live conformal score table (the incremental-equivalence
-    /// tests compare it bit-for-bit against a from-scratch refit).
-    pub fn score_table(&self) -> &ScoreTable {
-        &self.table
+        Self::build(records, records[0].probs.len(), |_| SplitCp { epsilon })
     }
 
     /// The p-value of the predicted (argmax) label; a label never seen in
     /// calibration offers no evidence of conformity (p = 0).
     pub fn credibility(&self, probs: &[f64]) -> f64 {
-        crate::lac_credibility(&self.table, probs, prom_ml::matrix::argmax(probs))
-    }
-
-    /// A relabeled deployment sample viewed as a calibration record, when
-    /// valid for this table (matched truth kind, in-range label, NaN-free
-    /// embedding and LAC score).
-    fn record_from_relabeled(&self, r: &Relabeled) -> Option<CalibrationRecord> {
-        let Truth::Label(label) = r.truth else {
-            return None;
-        };
-        if label >= r.sample.outputs.len()
-            || label >= self.table.n_labels()
-            || Lac.score(&r.sample.outputs, label).is_nan()
-            || r.sample.embedding.iter().any(|v| v.is_nan())
-        {
-            return None;
-        }
-        Some(CalibrationRecord::new(r.sample.embedding.clone(), r.sample.outputs.clone(), label))
+        crate::lac_credibility(self.score_table(), probs, prom_ml::matrix::argmax(probs))
     }
 }
-
-/// Snapshot tag distinguishing naive-CP snapshots from other detectors'.
-const NAIVE_CP_SNAPSHOT_TAG: &str = "naive-cp";
 
 /// The portable state of a [`NaiveCp`]: ε plus both score ledgers. The
 /// live table is exactly the multiset `base ++ absorbed`, so the ledgers
@@ -89,123 +48,38 @@ struct NaiveCpSnapshot {
     detector: String,
     epsilon: f64,
     n_labels: usize,
-    base: Vec<(usize, f64)>,
-    absorbed: Vec<(usize, f64)>,
+    base: Vec<Entry>,
+    absorbed: Vec<Entry>,
 }
 
-impl DriftDetector for NaiveCp {
-    fn name(&self) -> &'static str {
-        "MAPIE-PUNCC"
+impl BaselineKind for SplitCp {
+    const NAME: &'static str = "MAPIE-PUNCC";
+    const SNAPSHOT_TAG: &'static str = "naive-cp";
+
+    fn rejects(&self, table: &ScoreTable, outputs: &[f64], _: &mut JudgeScratch) -> bool {
+        crate::lac_credibility(table, outputs, prom_ml::matrix::argmax(outputs)) < self.epsilon
     }
 
-    fn judge_one(&self, _embedding: &[f64], outputs: &[f64]) -> Judgement {
-        Judgement::single(self.credibility(outputs) < self.epsilon)
+    fn snapshot(&self, ledger: Ledger) -> Value {
+        let Ledger { detector, n_labels, base, absorbed } = ledger;
+        NaiveCpSnapshot { detector, epsilon: self.epsilon, n_labels, base, absorbed }.to_value()
     }
 
-    fn calibration_size(&self) -> Option<usize> {
-        Some(self.table.len())
-    }
-
-    fn can_absorb(&self, r: &Relabeled) -> bool {
-        self.record_from_relabeled(r).is_some()
-    }
-
-    /// Incremental override: each valid relabel grows the pre-sorted table
-    /// in place via [`ScoreTable::insert`] — bit-identical to rebuilding
-    /// it with `from_records` over the same records — and is ledgered so
-    /// the reservoir's eviction path ([`DriftDetector::replace_record`])
-    /// can find it later.
-    fn absorb_relabeled(&mut self, batch: &[Relabeled]) -> usize {
-        let mut absorbed = 0;
-        for r in batch {
-            if let Some(record) = self.record_from_relabeled(r) {
-                let score = Lac.score(&record.probs, record.label);
-                self.table.insert(record.label, score);
-                self.absorbed.push((record.label, score));
-                absorbed += 1;
-            }
-        }
-        absorbed
-    }
-
-    /// Evicts the online record at `index` (indices below the design-time
-    /// base are never evicted) and inserts `r` in its slot: one
-    /// binary-search removal plus one binary-search insert, the same
-    /// absorbed-slot scheme as `Rise`.
-    fn replace_record(&mut self, index: usize, r: &Relabeled) -> bool {
-        let Some(slot) = index.checked_sub(self.base.len()) else {
-            return false;
-        };
-        if slot >= self.absorbed.len() {
-            return false;
-        }
-        let Some(record) = self.record_from_relabeled(r) else {
-            return false;
-        };
-        let score = Lac.score(&record.probs, record.label);
-        let (old_label, old_score) = self.absorbed[slot];
-        let removed = self.table.remove(old_label, old_score);
-        debug_assert!(removed, "absorbed bookkeeping must track the live table");
-        self.table.insert(record.label, score);
-        self.absorbed[slot] = (record.label, score);
-        true
-    }
-
-    fn base_len(&self) -> Option<usize> {
-        Some(self.base.len())
-    }
-
-    fn evict_oldest_base(&mut self) -> bool {
-        ledger::evict_oldest(&mut self.base, &mut self.table)
-    }
-
-    fn snapshot_state(&self) -> Option<Value> {
-        Some(
-            NaiveCpSnapshot {
-                detector: NAIVE_CP_SNAPSHOT_TAG.to_string(),
-                epsilon: self.epsilon,
-                n_labels: self.table.n_labels(),
-                base: self.base.clone(),
-                absorbed: self.absorbed.clone(),
-            }
-            .to_value(),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        let snap = NaiveCpSnapshot::from_value(state)?;
-        if snap.detector != NAIVE_CP_SNAPSHOT_TAG {
-            return Err(DeError::custom(format!(
-                "snapshot is for detector kind {:?}, expected {NAIVE_CP_SNAPSHOT_TAG:?}",
-                snap.detector
-            )));
-        }
-        if snap.n_labels != self.table.n_labels() {
-            return Err(DeError::custom(format!(
-                "snapshot has {} labels, detector has {}",
-                snap.n_labels,
-                self.table.n_labels()
-            )));
-        }
-        if !(0.0..1.0).contains(&snap.epsilon) {
+    fn restore(state: &Value) -> Result<(Ledger, Self), DeError> {
+        let NaiveCpSnapshot { detector, epsilon, n_labels, base, absorbed } =
+            NaiveCpSnapshot::from_value(state)?;
+        if !(0.0..1.0).contains(&epsilon) {
             return Err(DeError::custom("snapshot epsilon out of [0, 1)"));
         }
-        if snap.base.is_empty() && snap.absorbed.is_empty() {
-            return Err(DeError::custom("snapshot has no calibration entries"));
-        }
-        ledger::validate_entries("base", &snap.base, snap.n_labels)?;
-        ledger::validate_entries("absorbed", &snap.absorbed, snap.n_labels)?;
-        self.table = ledger::rebuild_table(&snap.base, &snap.absorbed, snap.n_labels);
-        self.epsilon = snap.epsilon;
-        self.base = snap.base;
-        self.absorbed = snap.absorbed;
-        Ok(())
+        Ok((Ledger { detector, n_labels, base, absorbed }, Self { epsilon }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prom_core::detector::{DriftDetector, Relabeled, Truth};
+    use prom_core::nonconformity::Lac;
 
     fn records() -> Vec<CalibrationRecord> {
         (0..60)

@@ -10,31 +10,25 @@
 //! [`ScoreTable`], one binary search per candidate label.
 
 use prom_core::calibration::CalibrationRecord;
-use prom_core::detector::{DriftDetector, Judgement, Relabeled, Truth};
 use prom_core::nonconformity::{Lac, Nonconformity};
-use prom_core::scoring::ScoreTable;
+use prom_core::scoring::{JudgeScratch, ScoreTable};
 use prom_ml::data::Dataset;
 use prom_ml::svm::{LinearSvm, LinearSvmSnapshot, SvmConfig};
 use prom_ml::traits::Classifier;
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::ledger;
+use crate::ledger::{BaselineKind, Entry, Ledger, Ledgered};
 use crate::tesseract::LabeledOutcome;
 
 /// The RISE-style detector.
-pub struct Rise {
-    table: ScoreTable,
+pub type Rise = Ledgered<ScoreSvm>;
+
+/// The RISE part of [`Rise`]: the SVM trained on score features, a
+/// design-time artifact that stays frozen while the conformal score
+/// population grows, and the ε of the prediction-set-size feature.
+pub struct ScoreSvm {
     svm: LinearSvm,
     epsilon: f64,
-    /// `(label, score)` of each design-time base record still live, oldest
-    /// first — shrunk from the front by `evict_oldest_base`. Records at
-    /// indices below `base.len()` are never evicted by the online
-    /// reservoir.
-    base: Vec<(usize, f64)>,
-    /// `(label, score)` of each record absorbed online, in absorb order —
-    /// the bookkeeping `replace_record` needs to evict a reservoir slot
-    /// from the pre-sorted table.
-    absorbed: Vec<(usize, f64)>,
 }
 
 impl Rise {
@@ -49,41 +43,10 @@ impl Rise {
     pub fn fit(records: &[CalibrationRecord], validation: &[LabeledOutcome], epsilon: f64) -> Self {
         assert!(!records.is_empty(), "empty calibration set");
         assert!(!validation.is_empty(), "empty validation set");
-        let table = ScoreTable::from_records(records, &Lac, records[0].probs.len());
-
-        let mut x = Vec::with_capacity(validation.len());
-        let mut y = Vec::with_capacity(validation.len());
-        for v in validation {
-            x.push(score_features(&table, &v.probs, epsilon));
-            // Class 1 = "should reject" (the model was wrong).
-            y.push(usize::from(!v.correct));
-        }
-        assert!(
-            y.contains(&0) && y.contains(&1),
-            "validation needs both correct and incorrect outcomes"
-        );
-        // Mispredictions are the minority class on in-distribution
-        // validation data; oversample them so the SVM does not collapse to
-        // "never reject".
-        let minority = y.iter().filter(|&&c| c == 1).count();
-        let majority = y.len() - minority;
-        if minority > 0 && majority > minority {
-            let copies = (majority / minority).min(20);
-            let extra: Vec<(Vec<f64>, usize)> = x
-                .iter()
-                .zip(y.iter())
-                .filter(|(_, &c)| c == 1)
-                .map(|(f, &c)| (f.clone(), c))
-                .collect();
-            for _ in 1..copies {
-                for (f, c) in &extra {
-                    x.push(f.clone());
-                    y.push(*c);
-                }
-            }
-        }
-        let svm = LinearSvm::fit(&Dataset::new(x, y), SvmConfig::default());
-        Self { table, svm, epsilon, base: ledger::base_entries(records), absorbed: Vec::new() }
+        Self::build(records, records[0].probs.len(), |table| ScoreSvm {
+            svm: train_svm(table, validation, epsilon),
+            epsilon,
+        })
     }
 
     /// Inserts one calibration record into the pre-sorted score table
@@ -91,47 +54,79 @@ impl Rise {
     /// bit-identical to `ScoreTable::from_records` over the same records.
     /// The SVM decision boundary is a *design-time* artifact tuned on
     /// validation outcomes and stays frozen; only the conformal score
-    /// population grows. Returns `false` (skipping the record) when its
-    /// label is out of the table's range or its LAC score is NaN.
+    /// population grows. Returns `false` (skipping the record) when it
+    /// fails the entry rule every relabel passes: a label out of range of
+    /// its outputs or the table, a NaN embedding, or a NaN LAC score.
     pub fn insert_record(&mut self, record: &CalibrationRecord) -> bool {
-        let score = Lac.score(&record.probs, record.label);
-        if record.label >= self.table.n_labels() || score.is_nan() {
-            return false;
-        }
-        self.insert_scored(record.label, score);
-        true
-    }
-
-    /// The one insert+bookkeeping pair every online path shares: the
-    /// absorbed-slot ledger must stay bit-exactly in sync with the live
-    /// table for `replace_record` eviction to find what it removes.
-    fn insert_scored(&mut self, label: usize, score: f64) {
-        self.table.insert(label, score);
-        self.absorbed.push((label, score));
-    }
-
-    /// Borrows the live conformal score table (the incremental-equivalence
-    /// tests compare it bit-for-bit against a from-scratch refit).
-    pub fn score_table(&self) -> &ScoreTable {
-        &self.table
-    }
-
-    /// A relabeled deployment sample viewed as a calibration record, when
-    /// valid for this table.
-    fn record_from_relabeled(&self, r: &Relabeled) -> Option<(usize, f64)> {
-        let Truth::Label(label) = r.truth else {
-            return None;
-        };
-        if label >= r.sample.outputs.len() || label >= self.table.n_labels() {
-            return None;
-        }
-        let score = Lac.score(&r.sample.outputs, label);
-        (!score.is_nan()).then_some((label, score))
+        self.absorb(self.entry(record.label, &record.probs, &record.embedding))
     }
 }
 
-/// Snapshot tag distinguishing RISE snapshots from other detectors'.
-const RISE_SNAPSHOT_TAG: &str = "rise";
+/// Trains the SVM on the score features of the validation outcomes,
+/// labelled 1 ("should reject") where the model was wrong.
+fn train_svm(table: &ScoreTable, validation: &[LabeledOutcome], epsilon: f64) -> LinearSvm {
+    let mut scratch = JudgeScratch::new();
+    let mut x = Vec::with_capacity(validation.len());
+    let mut y = Vec::with_capacity(validation.len());
+    for v in validation {
+        x.push(score_features(table, &v.probs, epsilon, &mut scratch).to_vec());
+        y.push(usize::from(!v.correct));
+    }
+    assert!(
+        y.contains(&0) && y.contains(&1),
+        "validation needs both correct and incorrect outcomes"
+    );
+    // Mispredictions are the minority class on in-distribution
+    // validation data; oversample them so the SVM does not collapse to
+    // "never reject".
+    let minority = y.iter().filter(|&&c| c == 1).count();
+    let majority = y.len() - minority;
+    if minority > 0 && majority > minority {
+        let copies = (majority / minority).min(20);
+        let extra: Vec<(Vec<f64>, usize)> =
+            x.iter().zip(y.iter()).filter(|(_, &c)| c == 1).map(|(f, &c)| (f.clone(), c)).collect();
+        for _ in 1..copies {
+            for (f, c) in &extra {
+                x.push(f.clone());
+                y.push(*c);
+            }
+        }
+    }
+    LinearSvm::fit(&Dataset::new(x, y), SvmConfig::default())
+}
+
+/// The score vector RISE feeds its SVM: credibility (p-value of the
+/// predicted label), confidence (1 - the runner-up p-value), and the
+/// prediction-set size as an auxiliary signal. The scratch's
+/// `test_scores`/`p_values` buffers are reused, so a window — or every
+/// window a pool shard judges — computes them without per-sample
+/// allocation.
+///
+/// # Panics
+///
+/// Panics when `probs` has a different length than the table's labels.
+fn score_features(
+    table: &ScoreTable,
+    probs: &[f64],
+    epsilon: f64,
+    scratch: &mut JudgeScratch,
+) -> [f64; 3] {
+    let predicted = prom_ml::matrix::argmax(probs);
+    scratch.test_scores.clear();
+    scratch.test_scores.extend((0..probs.len()).map(|y| Lac.score(probs, y)));
+    table.p_values_into(&scratch.test_scores, &mut scratch.p_values);
+    let p_values = &scratch.p_values;
+    let credibility = p_values[predicted];
+    let runner_up = p_values
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != predicted)
+        .map(|(_, &p)| p)
+        .fold(0.0f64, f64::max);
+    let confidence = 1.0 - runner_up;
+    let set_size = p_values.iter().filter(|&&p| p > epsilon).count() as f64;
+    [credibility, confidence, set_size]
+}
 
 /// The portable state of a [`Rise`]: ε, both score ledgers, and the
 /// **frozen trained SVM** — the one fitted artifact a reconstruction would
@@ -143,210 +138,52 @@ struct RiseSnapshot {
     detector: String,
     epsilon: f64,
     n_labels: usize,
-    base: Vec<(usize, f64)>,
-    absorbed: Vec<(usize, f64)>,
+    base: Vec<Entry>,
+    absorbed: Vec<Entry>,
     svm: LinearSvmSnapshot,
 }
 
-/// The score vector RISE feeds its SVM, written into `features`:
-/// credibility (p-value of the predicted label), confidence (1 - the
-/// runner-up p-value), and the prediction-set size as an auxiliary signal.
-/// `test_scores` and `p_values` are reusable work buffers (a batched
-/// deployment window — or every window a pool shard judges —
-/// computes per-sample features without per-sample allocation).
-fn score_features_into(
-    table: &ScoreTable,
-    probs: &[f64],
-    epsilon: f64,
-    test_scores: &mut Vec<f64>,
-    p_values: &mut Vec<f64>,
-    features: &mut Vec<f64>,
-) {
-    let predicted = prom_ml::matrix::argmax(probs);
-    test_scores.clear();
-    test_scores.extend((0..probs.len()).map(|y| Lac.score(probs, y)));
-    table.p_values_into(test_scores, p_values);
-    let credibility = p_values[predicted];
-    let runner_up = p_values
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != predicted)
-        .map(|(_, &p)| p)
-        .fold(0.0f64, f64::max);
-    let confidence = 1.0 - runner_up;
-    let set_size = p_values.iter().filter(|&&p| p > epsilon).count() as f64;
-    features.clear();
-    features.extend_from_slice(&[credibility, confidence, set_size]);
-}
+impl BaselineKind for ScoreSvm {
+    const NAME: &'static str = "RISE";
+    const SNAPSHOT_TAG: &'static str = "rise";
 
-/// One-shot form of [`score_features_into`] for the fitting path.
-fn score_features(table: &ScoreTable, probs: &[f64], epsilon: f64) -> Vec<f64> {
-    let (mut test_scores, mut p_values) = (Vec::new(), Vec::new());
-    let mut features = Vec::with_capacity(3);
-    score_features_into(table, probs, epsilon, &mut test_scores, &mut p_values, &mut features);
-    features
-}
-
-impl DriftDetector for Rise {
-    fn name(&self) -> &'static str {
-        "RISE"
+    /// A sample whose output length differs from the table's label count
+    /// has no score features, so it is rejected.
+    fn rejects(&self, table: &ScoreTable, outputs: &[f64], scratch: &mut JudgeScratch) -> bool {
+        outputs.len() != table.n_labels()
+            || self.svm.predict(&score_features(table, outputs, self.epsilon, scratch)) == 1
     }
 
-    fn judge_one(&self, _embedding: &[f64], outputs: &[f64]) -> Judgement {
-        let features = score_features(&self.table, outputs, self.epsilon);
-        Judgement::single(self.svm.predict(&features) == 1)
+    fn snapshot(&self, ledger: Ledger) -> Value {
+        let Ledger { detector, n_labels, base, absorbed } = ledger;
+        let (epsilon, svm) = (self.epsilon, self.svm.snapshot());
+        RiseSnapshot { detector, epsilon, n_labels, base, absorbed, svm }.to_value()
     }
 
-    /// Batched override: identical judgements to the looped path, but one
-    /// set of score buffers is reused across the whole window — the only
-    /// baseline where per-judgement allocation is worth amortizing
-    /// (`NaiveCp` and `Tesseract` judge with a single allocation-free
-    /// binary search each).
-    fn judge_batch(&self, samples: &[prom_core::detector::Sample]) -> Vec<Judgement> {
-        let mut scratch = prom_core::scoring::JudgeScratch::new();
-        self.judge_batch_scratch(samples, &mut scratch)
-    }
-
-    /// Pool entry point: the batched path over the shard's reused
-    /// scratch — its `test_scores`/`p_values` buffers carry the score
-    /// features, so a shard never re-grows them between windows.
-    /// Bit-identical to `judge_batch`.
-    fn judge_batch_scratch(
-        &self,
-        samples: &[prom_core::detector::Sample],
-        scratch: &mut prom_core::scoring::JudgeScratch,
-    ) -> Vec<Judgement> {
-        let mut features = Vec::with_capacity(3);
-        // Lift the buffers out so the borrows stay disjoint.
-        let mut test_scores = std::mem::take(&mut scratch.test_scores);
-        let mut p_values = std::mem::take(&mut scratch.p_values);
-        let judgements = samples
-            .iter()
-            .map(|s| {
-                score_features_into(
-                    &self.table,
-                    &s.outputs,
-                    self.epsilon,
-                    &mut test_scores,
-                    &mut p_values,
-                    &mut features,
-                );
-                Judgement::single(self.svm.predict(&features) == 1)
-            })
-            .collect();
-        scratch.test_scores = test_scores;
-        scratch.p_values = p_values;
-        judgements
-    }
-
-    fn calibration_size(&self) -> Option<usize> {
-        Some(self.table.len())
-    }
-
-    fn can_absorb(&self, r: &Relabeled) -> bool {
-        self.record_from_relabeled(r).is_some()
-    }
-
-    /// Incremental override: each valid relabel's LAC score is inserted
-    /// into the pre-sorted table in place (see [`Rise::insert_record`]).
-    fn absorb_relabeled(&mut self, batch: &[Relabeled]) -> usize {
-        let mut absorbed = 0;
-        for r in batch {
-            if let Some((label, score)) = self.record_from_relabeled(r) {
-                self.insert_scored(label, score);
-                absorbed += 1;
-            }
-        }
-        absorbed
-    }
-
-    /// Evicts the online record at `index` (indices below the design-time
-    /// base are never evicted) and inserts `r` in its slot: one
-    /// binary-search removal plus one binary-search insert.
-    fn replace_record(&mut self, index: usize, r: &Relabeled) -> bool {
-        let Some(slot) = index.checked_sub(self.base.len()) else {
-            return false;
-        };
-        if slot >= self.absorbed.len() {
-            return false;
-        }
-        let Some((label, score)) = self.record_from_relabeled(r) else {
-            return false;
-        };
-        let (old_label, old_score) = self.absorbed[slot];
-        let removed = self.table.remove(old_label, old_score);
-        debug_assert!(removed, "absorbed bookkeeping must track the live table");
-        self.table.insert(label, score);
-        self.absorbed[slot] = (label, score);
-        true
-    }
-
-    fn base_len(&self) -> Option<usize> {
-        Some(self.base.len())
-    }
-
-    fn evict_oldest_base(&mut self) -> bool {
-        ledger::evict_oldest(&mut self.base, &mut self.table)
-    }
-
-    fn snapshot_state(&self) -> Option<Value> {
-        Some(
-            RiseSnapshot {
-                detector: RISE_SNAPSHOT_TAG.to_string(),
-                epsilon: self.epsilon,
-                n_labels: self.table.n_labels(),
-                base: self.base.clone(),
-                absorbed: self.absorbed.clone(),
-                svm: self.svm.snapshot(),
-            }
-            .to_value(),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        let snap = RiseSnapshot::from_value(state)?;
-        if snap.detector != RISE_SNAPSHOT_TAG {
-            return Err(DeError::custom(format!(
-                "snapshot is for detector kind {:?}, expected {RISE_SNAPSHOT_TAG:?}",
-                snap.detector
-            )));
-        }
-        if snap.n_labels != self.table.n_labels() {
-            return Err(DeError::custom(format!(
-                "snapshot has {} labels, detector has {}",
-                snap.n_labels,
-                self.table.n_labels()
-            )));
-        }
-        if !(0.0..1.0).contains(&snap.epsilon) {
+    fn restore(state: &Value) -> Result<(Ledger, Self), DeError> {
+        let RiseSnapshot { detector, epsilon, n_labels, base, absorbed, svm } =
+            RiseSnapshot::from_value(state)?;
+        if !(0.0..1.0).contains(&epsilon) {
             return Err(DeError::custom("snapshot epsilon out of [0, 1)"));
         }
-        if snap.base.is_empty() && snap.absorbed.is_empty() {
-            return Err(DeError::custom("snapshot has no calibration entries"));
-        }
-        ledger::validate_entries("base", &snap.base, snap.n_labels)?;
-        ledger::validate_entries("absorbed", &snap.absorbed, snap.n_labels)?;
         // Pre-validate the SVM snapshot's shape so `LinearSvm::restore`
         // (which asserts on design-time bugs) cannot panic on a corrupt
         // *runtime* input.
-        if snap.svm.n_classes < 2
-            || snap.svm.machines.len() != snap.svm.n_classes
-            || snap.svm.machines.iter().any(|m| m.w.len() != snap.svm.machines[0].w.len())
+        if svm.n_classes < 2
+            || svm.machines.len() != svm.n_classes
+            || svm.machines.iter().any(|m| m.w.len() != svm.machines[0].w.len())
         {
             return Err(DeError::custom("snapshot SVM has an inconsistent shape"));
         }
-        self.svm = LinearSvm::restore(&snap.svm);
-        self.table = ledger::rebuild_table(&snap.base, &snap.absorbed, snap.n_labels);
-        self.epsilon = snap.epsilon;
-        self.base = snap.base;
-        self.absorbed = snap.absorbed;
-        Ok(())
+        let kind = Self { svm: LinearSvm::restore(&svm), epsilon };
+        Ok((Ledger { detector, n_labels, base, absorbed }, kind))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prom_core::detector::DriftDetector;
 
     fn records() -> Vec<CalibrationRecord> {
         (0..80)
@@ -407,6 +244,23 @@ mod tests {
         let mut bad = RiseSnapshot::from_value(&state).unwrap();
         bad.svm.machines.pop();
         assert!(restored.restore_state(&bad.to_value()).is_err());
+    }
+
+    #[test]
+    fn insert_record_skips_records_the_entry_rule_refuses_without_panicking() {
+        let mut rise = Rise::fit(&records(), &validation(), 0.1);
+        let size = rise.calibration_size();
+        // A label past the record's own outputs (and the table's labels)
+        // cannot be scored; a NaN embedding is refused like a relabel's.
+        let out_of_range =
+            CalibrationRecord { embedding: vec![0.0], probs: vec![0.6, 0.4], label: 2 };
+        let nan_embedding =
+            CalibrationRecord { embedding: vec![f64::NAN], probs: vec![0.6, 0.4], label: 0 };
+        assert!(!rise.insert_record(&out_of_range));
+        assert!(!rise.insert_record(&nan_embedding));
+        assert_eq!(rise.calibration_size(), size, "a skipped record changes nothing");
+        assert!(rise.insert_record(&CalibrationRecord::new(vec![0.0], vec![0.6, 0.4], 0)));
+        assert_eq!(rise.calibration_size(), size.map(|n| n + 1));
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //! [`ScoreTable`], both during threshold tuning and at deployment.
 
 use prom_core::calibration::CalibrationRecord;
-use prom_core::detector::{DriftDetector, Judgement, Relabeled, Truth};
-use prom_core::nonconformity::{Lac, Nonconformity};
-use prom_core::scoring::ScoreTable;
+use prom_core::scoring::{JudgeScratch, ScoreTable};
 use prom_ml::metrics::BinaryConfusion;
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::ledger;
+use crate::ledger::{BaselineKind, Entry, Ledger, Ledgered};
 
 /// A validation observation: the model's probability vector and whether its
 /// prediction was correct.
@@ -27,19 +25,13 @@ pub struct LabeledOutcome {
 }
 
 /// The TESSERACT-style detector.
-pub struct Tesseract {
-    table: ScoreTable,
-    /// Per-class p-value thresholds.
+pub type Tesseract = Ledgered<ClassThresholds>;
+
+/// The TESSERACT part of [`Tesseract`]: per-class p-value thresholds, a
+/// design-time artifact tuned on validation outcomes that stays frozen
+/// while the conformal score population adapts.
+pub struct ClassThresholds {
     thresholds: Vec<f64>,
-    /// `(label, score)` of each design-time base record still live, oldest
-    /// first — shrunk from the front by `evict_oldest_base`. Records at
-    /// indices below `base.len()` are never evicted by the online
-    /// reservoir.
-    base: Vec<(usize, f64)>,
-    /// `(label, score)` of each record absorbed online, in absorb order —
-    /// the bookkeeping `replace_record` needs to evict a reservoir slot
-    /// from the pre-sorted table.
-    absorbed: Vec<(usize, f64)>,
 }
 
 impl Tesseract {
@@ -56,75 +48,57 @@ impl Tesseract {
     ) -> Self {
         assert!(!records.is_empty(), "empty calibration set");
         assert!(!validation.is_empty(), "empty validation set");
-        let table = ScoreTable::from_records(records, &Lac, n_classes);
-
-        // Precompute validation p-values once.
-        let val: Vec<(usize, f64, bool)> = validation
-            .iter()
-            .map(|v| {
-                let predicted = prom_ml::matrix::argmax(&v.probs);
-                let p = crate::lac_credibility(&table, &v.probs, predicted);
-                (predicted, p, v.correct)
-            })
-            .collect();
-
-        // Tune each class's threshold independently over a p-value grid,
-        // maximizing the class-local detection F1.
-        let grid = [0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5];
-        let mut thresholds = vec![0.1; n_classes];
-        for (class, threshold) in thresholds.iter_mut().enumerate() {
-            let class_val: Vec<&(usize, f64, bool)> =
-                val.iter().filter(|(c, _, _)| *c == class).collect();
-            if class_val.is_empty() {
-                continue;
-            }
-            let mut best = (0.1, -1.0);
-            for &t in &grid {
-                let mut confusion = BinaryConfusion::default();
-                for &&(_, p, correct) in &class_val {
-                    confusion.record(p < t, !correct);
-                }
-                let f1 = confusion.f1();
-                if f1 > best.1 {
-                    best = (t, f1);
-                }
-            }
-            *threshold = best.0;
-        }
-        Self { table, thresholds, base: ledger::base_entries(records), absorbed: Vec::new() }
+        Self::build(records, n_classes, |table| ClassThresholds {
+            thresholds: tune_thresholds(table, validation, n_classes),
+        })
     }
 
     /// The tuned per-class thresholds.
     pub fn thresholds(&self) -> &[f64] {
-        &self.thresholds
-    }
-
-    /// Borrows the live conformal score table (the incremental-equivalence
-    /// tests compare it bit-for-bit against a from-scratch refit).
-    pub fn score_table(&self) -> &ScoreTable {
-        &self.table
-    }
-
-    /// A relabeled deployment sample viewed as a `(label, LAC score)`
-    /// calibration entry, when valid for this table (matched truth kind,
-    /// in-range label, NaN-free embedding and score).
-    fn entry_from_relabeled(&self, r: &Relabeled) -> Option<(usize, f64)> {
-        let Truth::Label(label) = r.truth else {
-            return None;
-        };
-        if label >= r.sample.outputs.len()
-            || label >= self.table.n_labels()
-            || r.sample.embedding.iter().any(|v| v.is_nan())
-        {
-            return None;
-        }
-        let score = Lac.score(&r.sample.outputs, label);
-        (!score.is_nan()).then_some((label, score))
+        &self.kind().thresholds
     }
 }
 
-/// Snapshot tag distinguishing TESSERACT snapshots from other detectors'.
-const TESSERACT_SNAPSHOT_TAG: &str = "tesseract";
+/// Tunes each class's threshold independently over a p-value grid,
+/// maximizing the class-local detection F1.
+fn tune_thresholds(
+    table: &ScoreTable,
+    validation: &[LabeledOutcome],
+    n_classes: usize,
+) -> Vec<f64> {
+    // Precompute validation p-values once.
+    let val: Vec<(usize, f64, bool)> = validation
+        .iter()
+        .map(|v| {
+            let predicted = prom_ml::matrix::argmax(&v.probs);
+            let p = crate::lac_credibility(table, &v.probs, predicted);
+            (predicted, p, v.correct)
+        })
+        .collect();
+
+    let grid = [0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5];
+    let mut thresholds = vec![0.1; n_classes];
+    for (class, threshold) in thresholds.iter_mut().enumerate() {
+        let class_val: Vec<&(usize, f64, bool)> =
+            val.iter().filter(|(c, _, _)| *c == class).collect();
+        if class_val.is_empty() {
+            continue;
+        }
+        let mut best = (0.1, -1.0);
+        for &t in &grid {
+            let mut confusion = BinaryConfusion::default();
+            for &&(_, p, correct) in &class_val {
+                confusion.record(p < t, !correct);
+            }
+            let f1 = confusion.f1();
+            if f1 > best.1 {
+                best = (t, f1);
+            }
+        }
+        *threshold = best.0;
+    }
+    thresholds
+}
 
 /// The portable state of a [`Tesseract`]: the tuned per-class thresholds
 /// (a frozen design-time artifact a reconstruction would have to re-tune
@@ -134,132 +108,46 @@ struct TesseractSnapshot {
     detector: String,
     n_labels: usize,
     thresholds: Vec<f64>,
-    base: Vec<(usize, f64)>,
-    absorbed: Vec<(usize, f64)>,
+    base: Vec<Entry>,
+    absorbed: Vec<Entry>,
 }
 
-impl DriftDetector for Tesseract {
-    fn name(&self) -> &'static str {
-        "TESSERACT"
-    }
+impl BaselineKind for ClassThresholds {
+    const NAME: &'static str = "TESSERACT";
+    const SNAPSHOT_TAG: &'static str = "tesseract";
 
-    fn judge_one(&self, _embedding: &[f64], outputs: &[f64]) -> Judgement {
+    fn rejects(&self, table: &ScoreTable, outputs: &[f64], _: &mut JudgeScratch) -> bool {
         let predicted = prom_ml::matrix::argmax(outputs);
-        let p = crate::lac_credibility(&self.table, outputs, predicted);
-        Judgement::single(p < self.thresholds.get(predicted).copied().unwrap_or(0.1))
+        let p = crate::lac_credibility(table, outputs, predicted);
+        p < self.thresholds.get(predicted).copied().unwrap_or(0.1)
     }
 
-    fn calibration_size(&self) -> Option<usize> {
-        Some(self.table.len())
+    fn snapshot(&self, ledger: Ledger) -> Value {
+        let Ledger { detector, n_labels, base, absorbed } = ledger;
+        let thresholds = self.thresholds.clone();
+        TesseractSnapshot { detector, n_labels, thresholds, base, absorbed }.to_value()
     }
 
-    fn can_absorb(&self, r: &Relabeled) -> bool {
-        self.entry_from_relabeled(r).is_some()
-    }
-
-    /// Incremental override: each valid relabel's LAC score grows the
-    /// pre-sorted conformal table in place — bit-identical to rebuilding
-    /// it with `from_records` over the same records
-    /// (`tests/recalibration_equivalence.rs`). The per-class rejection
-    /// thresholds are *design-time* artifacts tuned on validation
-    /// outcomes and stay frozen; only the conformal score population the
-    /// p-values are computed against adapts.
-    fn absorb_relabeled(&mut self, batch: &[Relabeled]) -> usize {
-        let mut absorbed = 0;
-        for r in batch {
-            if let Some((label, score)) = self.entry_from_relabeled(r) {
-                self.table.insert(label, score);
-                self.absorbed.push((label, score));
-                absorbed += 1;
-            }
-        }
-        absorbed
-    }
-
-    /// Evicts the online record at `index` (indices below the design-time
-    /// base are never evicted) and inserts `r` in its slot: one
-    /// binary-search removal plus one binary-search insert, the same
-    /// absorbed-slot scheme as `Rise`.
-    fn replace_record(&mut self, index: usize, r: &Relabeled) -> bool {
-        let Some(slot) = index.checked_sub(self.base.len()) else {
-            return false;
-        };
-        if slot >= self.absorbed.len() {
-            return false;
-        }
-        let Some((label, score)) = self.entry_from_relabeled(r) else {
-            return false;
-        };
-        let (old_label, old_score) = self.absorbed[slot];
-        let removed = self.table.remove(old_label, old_score);
-        debug_assert!(removed, "absorbed bookkeeping must track the live table");
-        self.table.insert(label, score);
-        self.absorbed[slot] = (label, score);
-        true
-    }
-
-    fn base_len(&self) -> Option<usize> {
-        Some(self.base.len())
-    }
-
-    fn evict_oldest_base(&mut self) -> bool {
-        ledger::evict_oldest(&mut self.base, &mut self.table)
-    }
-
-    fn snapshot_state(&self) -> Option<Value> {
-        Some(
-            TesseractSnapshot {
-                detector: TESSERACT_SNAPSHOT_TAG.to_string(),
-                n_labels: self.table.n_labels(),
-                thresholds: self.thresholds.clone(),
-                base: self.base.clone(),
-                absorbed: self.absorbed.clone(),
-            }
-            .to_value(),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        let snap = TesseractSnapshot::from_value(state)?;
-        if snap.detector != TESSERACT_SNAPSHOT_TAG {
+    fn restore(state: &Value) -> Result<(Ledger, Self), DeError> {
+        let TesseractSnapshot { detector, n_labels, thresholds, base, absorbed } =
+            TesseractSnapshot::from_value(state)?;
+        if thresholds.len() != n_labels {
             return Err(DeError::custom(format!(
-                "snapshot is for detector kind {:?}, expected {TESSERACT_SNAPSHOT_TAG:?}",
-                snap.detector
+                "snapshot has {} thresholds for {n_labels} labels",
+                thresholds.len()
             )));
         }
-        if snap.n_labels != self.table.n_labels() {
-            return Err(DeError::custom(format!(
-                "snapshot has {} labels, detector has {}",
-                snap.n_labels,
-                self.table.n_labels()
-            )));
-        }
-        if snap.thresholds.len() != snap.n_labels {
-            return Err(DeError::custom(format!(
-                "snapshot has {} thresholds for {} labels",
-                snap.thresholds.len(),
-                snap.n_labels
-            )));
-        }
-        if snap.thresholds.iter().any(|t| !t.is_finite()) {
+        if thresholds.iter().any(|t| !t.is_finite()) {
             return Err(DeError::custom("snapshot threshold is not finite"));
         }
-        if snap.base.is_empty() && snap.absorbed.is_empty() {
-            return Err(DeError::custom("snapshot has no calibration entries"));
-        }
-        ledger::validate_entries("base", &snap.base, snap.n_labels)?;
-        ledger::validate_entries("absorbed", &snap.absorbed, snap.n_labels)?;
-        self.table = ledger::rebuild_table(&snap.base, &snap.absorbed, snap.n_labels);
-        self.thresholds = snap.thresholds;
-        self.base = snap.base;
-        self.absorbed = snap.absorbed;
-        Ok(())
+        Ok((Ledger { detector, n_labels, base, absorbed }, Self { thresholds }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prom_core::detector::DriftDetector;
 
     fn records() -> Vec<CalibrationRecord> {
         (0..80)

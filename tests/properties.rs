@@ -681,6 +681,8 @@ mod drift_annotations {
 
 mod snapshot_restore {
     use super::*;
+    use prom::baselines::tesseract::LabeledOutcome;
+    use prom::baselines::{NaiveCp, Rise, Tesseract};
     use prom::core::calibration::CalibrationRecord;
     use prom::core::committee::PromConfig;
     use prom::core::predictor::PromClassifier;
@@ -691,16 +693,39 @@ mod snapshot_restore {
 
     /// Short numbers keep the snapshot's labels, counts and structure a
     /// large share of its bytes, so edits reach the record checks often.
-    fn classifier() -> PromClassifier {
-        let records = (0..12)
+    fn class_records() -> Vec<CalibrationRecord> {
+        (0..12)
             .map(|i| {
                 let label = i % 3;
                 let mut probs = vec![0.25; 3];
                 probs[label] = 0.5;
                 CalibrationRecord::new(vec![(i % 5) as f64, label as f64], probs, label)
             })
-            .collect();
-        PromClassifier::new(records, PromConfig::default()).expect("valid records")
+            .collect()
+    }
+
+    fn classifier() -> PromClassifier {
+        PromClassifier::new(class_records(), PromConfig::default()).expect("valid records")
+    }
+
+    /// Validation outcomes of both kinds, so RISE can train its SVM.
+    fn validation() -> Vec<LabeledOutcome> {
+        (0..6)
+            .map(|i| {
+                let probs = if i % 2 == 0 { vec![0.5, 0.25, 0.25] } else { vec![0.4, 0.35, 0.25] };
+                LabeledOutcome { probs, correct: i % 2 == 0 }
+            })
+            .collect()
+    }
+
+    /// The three baselines, on the classifier's records.
+    fn baselines() -> [Box<dyn DriftDetector>; 3] {
+        let records = class_records();
+        [
+            Box::new(NaiveCp::new(&records, 0.1)),
+            Box::new(Tesseract::fit(&records, &validation(), 3)),
+            Box::new(Rise::fit(&records, &validation(), 0.1)),
+        ]
     }
 
     fn regressor() -> PromRegressor {
@@ -720,7 +745,7 @@ mod snapshot_restore {
     fn grown_snapshot(detector: &mut dyn DriftDetector, relabels: &[Relabeled]) -> String {
         assert_eq!(detector.absorb_relabeled(relabels), relabels.len());
         assert!(detector.evict_oldest_base());
-        serde::to_json_string(&detector.snapshot_state().expect("Prom snapshots"))
+        serde::to_json_string(&detector.snapshot_state().expect("detector snapshots"))
     }
 
     /// Bytes an edit writes: digits most often, so that most edited
@@ -749,11 +774,12 @@ mod snapshot_restore {
     /// Restores `text` onto `detector`; on any error, the detector's own
     /// snapshot must print the same bytes as before.
     fn restore_is_total(detector: &mut dyn DriftDetector, text: &str) -> Result<(), TestCaseError> {
-        let before = serde::to_json_string(&detector.snapshot_state().expect("Prom snapshots"));
+        let before = serde::to_json_string(&detector.snapshot_state().expect("detector snapshots"));
         let restored =
             serde::from_json_str::<Value>(text).and_then(|state| detector.restore_state(&state));
         if restored.is_err() {
-            let after = serde::to_json_string(&detector.snapshot_state().expect("Prom snapshots"));
+            let after =
+                serde::to_json_string(&detector.snapshot_state().expect("detector snapshots"));
             prop_assert!(after == before, "a rejected restore changed the detector");
         }
         Ok(())
@@ -763,8 +789,8 @@ mod snapshot_restore {
         #![proptest_config(ProptestConfig::with_cases(1000))]
 
         /// Truncated, byte-deleted and byte-replaced snapshots of both
-        /// detector kinds never panic the restore, and a rejected one
-        /// changes nothing.
+        /// Prom detector kinds and the three baselines never panic the
+        /// restore, and a rejected one changes nothing.
         #[test]
         fn corrupt_snapshots_never_panic_and_rejections_change_nothing(
             edit in 0usize..3,
@@ -776,6 +802,10 @@ mod snapshot_restore {
                 .collect();
             let json = grown_snapshot(&mut classifier(), &relabels);
             restore_is_total(&mut classifier(), &corrupt(&json, edit, at, byte))?;
+            for (mut grown, mut fresh) in baselines().into_iter().zip(baselines()) {
+                let json = grown_snapshot(&mut *grown, &relabels);
+                restore_is_total(&mut *fresh, &corrupt(&json, edit, at, byte))?;
+            }
 
             let relabels: Vec<Relabeled> = (0..2)
                 .map(|i| Relabeled::measured(Sample::regression(vec![i as f64, 1.0], 1.5), 1.0))

@@ -407,6 +407,42 @@ fn naive_cp_absorb_is_bit_identical_to_refit_and_replace_matches_substitution() 
 }
 
 #[test]
+fn rise_absorbs_exactly_the_valid_relabels_and_matches_refit() {
+    let base = classification_records(90, 81);
+    let extra = classification_records(36, 82);
+    let validation: Vec<LabeledOutcome> = (0..60)
+        .map(|i| {
+            let conf = 0.6 + 0.35 * ((i * 5 % 11) as f64 / 11.0);
+            if i % 4 == 0 {
+                LabeledOutcome { probs: vec![0.52, 0.26, 0.22], correct: false }
+            } else {
+                LabeledOutcome {
+                    probs: vec![conf, (1.0 - conf) / 2.0, (1.0 - conf) / 2.0],
+                    correct: true,
+                }
+            }
+        })
+        .collect();
+
+    let mut grown = Rise::fit(&base, &validation, 0.1);
+    let batch = relabel_batch_with_invalid(&extra);
+    // can_absorb screens exactly what absorb_relabeled accepts: the NaN
+    // embedding is refused like the out-of-range label and the regression
+    // truth.
+    let screened: Vec<bool> = batch.iter().map(|r| grown.can_absorb(r)).collect();
+    assert_eq!(screened.iter().filter(|&&ok| ok).count(), extra.len());
+    for (r, ok) in batch.iter().zip(&screened) {
+        assert_eq!(grown.absorb_relabeled(std::slice::from_ref(r)) == 1, *ok);
+    }
+    assert_eq!(grown.calibration_size(), Some(base.len() + extra.len()));
+
+    let mut all = base;
+    all.extend(extra);
+    let refit_table = ScoreTable::from_records(&all, &Lac, 3);
+    assert_tables_bit_identical(grown.score_table(), &refit_table, 3, "rise grow");
+}
+
+#[test]
 fn tesseract_absorb_is_bit_identical_to_refit_with_frozen_thresholds() {
     let base = classification_records(100, 71);
     let extra = classification_records(35, 72);
