@@ -11,11 +11,11 @@
 //! without giving up one bit of the repo's determinism:
 //!
 //! * **Producers** get a cloneable [`ServingHandle`] and submit samples
-//!   from any number of threads. Admission is a *bounded* MPMC channel
-//!   (`crossbeam::channel::bounded`): [`ServingHandle::submit`] blocks
-//!   when the queue is full (backpressure), and
-//!   [`ServingHandle::try_submit`] fails fast with the sample back —
-//!   load shedding, counted per front-end in
+//!   from any number of threads. Admission is a private *bounded* queue
+//!   with many producers and one consumer (a `Mutex<VecDeque>` plus two
+//!   condvars): [`ServingHandle::submit`] blocks when the queue is full
+//!   (backpressure), and [`ServingHandle::try_submit`] fails fast with
+//!   the sample back — load shedding, counted per front-end in
 //!   [`ServingOutcome::rejected`].
 //! * **One collator thread** drains the queue in arrival order and drives
 //!   one [`MultiPipeline`] exactly as a synchronous caller would: windows
@@ -58,11 +58,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-
 use crate::detector::{DriftDetector, Sample, Truth};
 use crate::metrics::{Counter, Gauge, Histogram, MetricsSink};
 use crate::pipeline::{MultiPipeline, MultiReport, PipelineConfig, WindowReport};
+use queue::{Queue, Receiver, Sender, TrySendError};
 
 pub use crate::metrics::{LatencyHistogram, LatencySummary};
 
@@ -135,22 +134,12 @@ impl SubmitError {
 /// Dropping every handle (ending `produce`) is the shutdown signal: the
 /// collator drains what was admitted, flushes the pipeline tail, and the
 /// serve call returns.
+#[derive(Clone)]
 pub struct ServingHandle<'env> {
-    queue: Sender<Submission>,
+    queue: Sender<'env, Submission>,
     admitted: &'env AtomicU64,
     rejected: &'env AtomicU64,
     instruments: Option<&'env ServingInstruments>,
-}
-
-impl Clone for ServingHandle<'_> {
-    fn clone(&self) -> Self {
-        Self {
-            queue: self.queue.clone(),
-            admitted: self.admitted,
-            rejected: self.rejected,
-            instruments: self.instruments,
-        }
-    }
 }
 
 impl ServingHandle<'_> {
@@ -170,17 +159,10 @@ impl ServingHandle<'_> {
         // the stamp cannot predate admission by more than the enqueue
         // itself (the pre-fix `send(Submission { at: Instant::now(), .. })`
         // charged the whole backpressure stall to judgement latency).
-        match self.queue.send_with(|| Submission { sample, at: Instant::now() }) {
-            Ok(()) => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                if let Some(live) = self.instruments {
-                    live.admitted.inc();
-                    live.queue_depth.inc();
-                }
-                Ok(())
-            }
-            Err(err) => Err(SubmitError::Closed(err.0.sample)),
-        }
+        self.queue
+            .send_with(|| Submission { sample, at: Instant::now() })
+            .map(|()| self.count_admission())
+            .map_err(|submission| SubmitError::Closed(submission.sample))
     }
 
     /// Submits one sample without blocking — the load-shedding path.
@@ -195,11 +177,7 @@ impl ServingHandle<'_> {
     pub fn try_submit(&self, sample: Sample) -> Result<(), SubmitError> {
         match self.queue.try_send(Submission { sample, at: Instant::now() }) {
             Ok(()) => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                if let Some(live) = self.instruments {
-                    live.admitted.inc();
-                    live.queue_depth.inc();
-                }
+                self.count_admission();
                 Ok(())
             }
             Err(TrySendError::Full(submission)) => {
@@ -209,9 +187,16 @@ impl ServingHandle<'_> {
                 }
                 Err(SubmitError::Full(submission.sample))
             }
-            Err(TrySendError::Disconnected(submission)) => {
-                Err(SubmitError::Closed(submission.sample))
-            }
+            Err(TrySendError::Closed(submission)) => Err(SubmitError::Closed(submission.sample)),
+        }
+    }
+
+    /// Counts one admitted sample, in the outcome and in the live metrics.
+    fn count_admission(&self) {
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+        if let Some(live) = self.instruments {
+            live.admitted.inc();
+            live.queue_depth.inc();
         }
     }
 }
@@ -440,7 +425,8 @@ impl ServingFrontEnd {
             Some(sink) => pipeline.with_metrics(sink),
             None => pipeline,
         };
-        let (queue_tx, queue_rx) = bounded::<Submission>(self.config.queue);
+        let queue = Queue::new(self.config.queue);
+        let (queue_tx, queue_rx) = queue.split();
         let admitted = AtomicU64::new(0);
         let rejected = AtomicU64::new(0);
         let record_admitted = self.config.record_admitted;
@@ -461,9 +447,9 @@ impl ServingFrontEnd {
                 instruments: instruments.as_ref(),
             };
             // `produce` consumes the handle; when it returns, every
-            // sender clone its producer threads made is gone too (the
-            // handle cannot escape the closure), so the collator sees
-            // the disconnect and drains. If `produce` panics, unwinding
+            // clone its producer threads made is gone too (the handle
+            // cannot escape the closure), so the collator sees the last
+            // sender go and drains. If `produce` panics, unwinding
             // drops the handle and the collator still shuts down cleanly
             // before the scope re-raises.
             let produced = produce(handle);
@@ -499,11 +485,11 @@ struct Collated<R> {
 
 /// The collator loop: drain the admission queue in arrival order into
 /// the pipeline, settle each report's latencies, map it through `report`,
-/// flush the tail on disconnect.
+/// flush the tail once every producer handle is gone.
 fn collate<R>(
     mut pipeline: MultiPipeline<'_>,
     report: fn(MultiReport) -> R,
-    queue: &Receiver<Submission>,
+    queue: &Receiver<'_, Submission>,
     record_admitted: bool,
     instruments: Option<&ServingInstruments>,
 ) -> Collated<R> {
@@ -533,7 +519,7 @@ fn collate<R>(
         }
         *judged += settled;
     };
-    while let Ok(Submission { sample, at }) = queue.recv() {
+    while let Some(Submission { sample, at }) = queue.recv() {
         if let Some(live) = instruments {
             live.queue_depth.dec();
         }
@@ -563,6 +549,371 @@ fn collate<R>(
     }
     debug_assert!(unsettled.is_empty(), "flush must settle every admitted sample");
     Collated { reports, latency, judged, admitted_samples }
+}
+
+/// The admission queue: bounded, many producers, one consumer.
+///
+/// A `Mutex<VecDeque>` with two condvars, holding only what serving
+/// calls. [`Sender`]s (one per [`ServingHandle`] clone) enqueue through
+/// [`Sender::send_with`] or [`Sender::try_send`]; the one [`Receiver`],
+/// the collator, dequeues in arrival order and closes the queue when it
+/// drops, so no producer stays parked on a dead collator. A condvar is
+/// signalled only when a thread is parked on it, by waiter counts kept
+/// under the lock: an unconditional `notify_one` is a futex syscall per
+/// sample on both sides of the queue.
+mod queue {
+    use std::collections::VecDeque;
+    use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+    /// Why [`Sender::try_send`] failed; the value comes back.
+    pub(super) enum TrySendError<T> {
+        /// The queue is at capacity.
+        Full(T),
+        /// The receiver is gone.
+        Closed(T),
+    }
+
+    /// The shared queue; [`Queue::split`] hands out its two ends.
+    pub(super) struct Queue<T> {
+        state: Mutex<State<T>>,
+        /// The receiver parks here while the queue is empty.
+        not_empty: Condvar,
+        /// Senders park here while the queue is full.
+        not_full: Condvar,
+        capacity: usize,
+    }
+
+    /// Everything behind the lock.
+    struct State<T> {
+        /// Grows on demand; never preallocated to the capacity.
+        items: VecDeque<T>,
+        /// Live senders: once the last one drops, `recv` drains and ends.
+        senders: usize,
+        /// The receiver dropped: every send fails from now on.
+        closed: bool,
+        /// Senders parked on `not_full`.
+        parked_senders: usize,
+        /// Whether the receiver is parked on `not_empty`.
+        receiver_parked: bool,
+    }
+
+    impl<T> Queue<T> {
+        /// An empty queue that holds at most `capacity` values.
+        ///
+        /// # Panics
+        ///
+        /// Panics when `capacity` is 0: a sender could never enqueue.
+        pub(super) fn new(capacity: usize) -> Self {
+            assert!(capacity >= 1, "an admission queue needs room for one value");
+            let state = State {
+                items: VecDeque::new(),
+                senders: 1,
+                closed: false,
+                parked_senders: 0,
+                receiver_parked: false,
+            };
+            Self {
+                state: Mutex::new(state),
+                not_empty: Condvar::new(),
+                not_full: Condvar::new(),
+                capacity,
+            }
+        }
+
+        /// The first sender and the only receiver. Call once per queue.
+        pub(super) fn split(&self) -> (Sender<'_, T>, Receiver<'_, T>) {
+            (Sender(self), Receiver(self))
+        }
+
+        /// Locks the state. A poisoned lock is taken anyway: the only code
+        /// that can panic under it is `send_with`'s `make`, which runs
+        /// before the state changes.
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Enqueues under the held lock, then wakes the receiver if it is
+        /// parked.
+        fn push(&self, mut state: MutexGuard<'_, State<T>>, value: T) {
+            state.items.push_back(value);
+            if state.receiver_parked {
+                drop(state);
+                self.not_empty.notify_one();
+            }
+        }
+    }
+
+    /// A producer's end. Cloning adds a sender; dropping the last one
+    /// ends the receiver's `recv` once the queue is drained.
+    pub(super) struct Sender<'q, T>(&'q Queue<T>);
+
+    impl<T> Clone for Sender<'_, T> {
+        fn clone(&self) -> Self {
+            self.0.lock().senders += 1;
+            Self(self.0)
+        }
+    }
+
+    impl<T> Drop for Sender<'_, T> {
+        fn drop(&mut self) {
+            let mut state = self.0.lock();
+            state.senders -= 1;
+            if state.senders == 0 && state.receiver_parked {
+                drop(state);
+                self.0.not_empty.notify_one();
+            }
+        }
+    }
+
+    impl<T> Sender<'_, T> {
+        /// Enqueues the value `make` builds, parking while the queue is
+        /// full. `make` runs under the lock once a slot is free, so a
+        /// timestamp it takes leaves out the wait for that slot.
+        ///
+        /// # Errors
+        ///
+        /// The value `make` builds, when the receiver is gone. That is
+        /// checked before and after every wait, so a sender never parks
+        /// on a closed queue.
+        pub(super) fn send_with(&self, make: impl FnOnce() -> T) -> Result<(), T> {
+            let queue = self.0;
+            let mut state = queue.lock();
+            loop {
+                if state.closed {
+                    drop(state);
+                    return Err(make());
+                }
+                if state.items.len() < queue.capacity {
+                    queue.push(state, make());
+                    return Ok(());
+                }
+                state.parked_senders += 1;
+                state = queue.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
+                state.parked_senders -= 1;
+            }
+        }
+
+        /// Enqueues `value` without parking.
+        ///
+        /// # Errors
+        ///
+        /// [`TrySendError::Closed`] when the receiver is gone, else
+        /// [`TrySendError::Full`] when the queue is at capacity.
+        pub(super) fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            let state = self.0.lock();
+            if state.closed {
+                Err(TrySendError::Closed(value))
+            } else if state.items.len() >= self.0.capacity {
+                Err(TrySendError::Full(value))
+            } else {
+                self.0.push(state, value);
+                Ok(())
+            }
+        }
+    }
+
+    /// The consumer's end. Dropping it closes the queue and wakes every
+    /// parked sender.
+    pub(super) struct Receiver<'q, T>(&'q Queue<T>);
+
+    impl<T> Drop for Receiver<'_, T> {
+        fn drop(&mut self) {
+            let mut state = self.0.lock();
+            state.closed = true;
+            if state.parked_senders > 0 {
+                drop(state);
+                self.0.not_full.notify_all();
+            }
+        }
+    }
+
+    impl<T> Receiver<'_, T> {
+        /// Dequeues the oldest value, parking while the queue is empty;
+        /// `None` once every sender is gone and the queue is drained.
+        pub(super) fn recv(&self) -> Option<T> {
+            let queue = self.0;
+            let mut state = queue.lock();
+            loop {
+                if let Some(value) = state.items.pop_front() {
+                    if state.parked_senders > 0 {
+                        drop(state);
+                        queue.not_full.notify_one();
+                    }
+                    return Some(value);
+                }
+                if state.senders == 0 {
+                    return None;
+                }
+                state.receiver_parked = true;
+                state = queue.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
+                state.receiver_parked = false;
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::{Queue, TrySendError};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::thread::{scope, sleep};
+        use std::time::{Duration, Instant};
+
+        #[test]
+        fn delivers_in_order_across_threads() {
+            // 100 values through 4 slots: the sender parks on the full
+            // queue while the receiver drains it.
+            let queue = Queue::new(4);
+            let (tx, rx) = queue.split();
+            let got = scope(|s| {
+                s.spawn(move || (0..100).for_each(|i| tx.send_with(|| i).expect("receiver alive")));
+                std::iter::from_fn(|| rx.recv()).collect::<Vec<i32>>()
+            });
+            assert_eq!(got, (0..100).collect::<Vec<_>>());
+            assert!(rx.recv().is_none(), "ended after every sender dropped");
+        }
+
+        #[test]
+        fn send_with_builds_the_value_only_at_enqueue_time() {
+            let queue = Queue::new(1);
+            let (tx, rx) = queue.split();
+            tx.send_with(Instant::now).unwrap();
+            // The queue is full: a parked send_with must not run `make`
+            // until a slot frees, so its stamp postdates the drain.
+            let made = AtomicBool::new(false);
+            scope(|s| {
+                s.spawn(|| {
+                    tx.send_with(|| {
+                        made.store(true, Ordering::SeqCst);
+                        Instant::now()
+                    })
+                    .unwrap();
+                });
+                sleep(Duration::from_millis(50));
+                assert!(!made.load(Ordering::SeqCst), "make ran while the queue was full");
+                let drain_at = Instant::now();
+                rx.recv().unwrap();
+                let stamped = rx.recv().unwrap();
+                assert!(
+                    stamped >= drain_at,
+                    "the stamp must be taken at enqueue, not before the wait"
+                );
+            });
+        }
+
+        #[test]
+        fn send_with_returns_the_built_value_on_close() {
+            let queue = Queue::new(1);
+            let (tx, rx) = queue.split();
+            drop(rx);
+            assert_eq!(tx.send_with(|| 42).unwrap_err(), 42);
+        }
+
+        #[test]
+        fn try_send_reports_full_at_capacity() {
+            let queue = Queue::new(2);
+            let (tx, rx) = queue.split();
+            assert!(tx.try_send(1).is_ok());
+            assert!(tx.try_send(2).is_ok());
+            assert!(
+                matches!(tx.try_send(3), Err(TrySendError::Full(3))),
+                "the third value hits the capacity bound and comes back"
+            );
+            // Draining one slot reopens admission.
+            assert_eq!(rx.recv(), Some(1));
+            assert!(tx.try_send(3).is_ok());
+            assert_eq!(rx.recv(), Some(2));
+            assert_eq!(rx.recv(), Some(3), "FIFO order across the refill");
+        }
+
+        #[test]
+        fn a_parked_send_completes_once_a_slot_frees() {
+            let queue = Queue::new(1);
+            let (tx, rx) = queue.split();
+            tx.send_with(|| 1).unwrap();
+            scope(|s| {
+                s.spawn(move || tx.send_with(|| 2).unwrap());
+                // Give the sender time to park on the full queue.
+                sleep(Duration::from_millis(20));
+                assert_eq!(rx.recv(), Some(1));
+                assert_eq!(rx.recv(), Some(2), "the parked send completes after the drain");
+                assert_eq!(rx.recv(), None);
+            });
+        }
+
+        #[test]
+        fn sends_to_a_closed_queue_fail_even_when_it_is_full() {
+            let queue = Queue::new(1);
+            let (tx, rx) = queue.split();
+            tx.send_with(|| 1).unwrap();
+            drop(rx);
+            // Both forms fail with the value back; neither parks.
+            assert!(matches!(tx.try_send(2), Err(TrySendError::Closed(2))));
+            assert_eq!(tx.send_with(|| 3).unwrap_err(), 3);
+        }
+
+        #[test]
+        fn closing_wakes_every_parked_sender() {
+            let queue = Queue::new(1);
+            let (tx, rx) = queue.split();
+            tx.send_with(|| 0).unwrap();
+            scope(|s| {
+                let parked: Vec<_> = (1..=3)
+                    .map(|i| {
+                        let tx = tx.clone();
+                        s.spawn(move || tx.send_with(|| i))
+                    })
+                    .collect();
+                sleep(Duration::from_millis(20));
+                drop(rx);
+                let mut refused: Vec<i32> =
+                    parked.into_iter().map(|t| t.join().unwrap().unwrap_err()).collect();
+                refused.sort_unstable();
+                assert_eq!(refused, [1, 2, 3], "every parked sender gets its value back");
+            });
+        }
+
+        #[test]
+        fn a_parked_receiver_ends_when_the_last_sender_drops() {
+            let queue = Queue::<u8>::new(1);
+            let (tx, rx) = queue.split();
+            let tx2 = tx.clone();
+            scope(|s| {
+                let receiver = s.spawn(move || rx.recv());
+                sleep(Duration::from_millis(20));
+                drop(tx);
+                sleep(Duration::from_millis(20));
+                drop(tx2);
+                assert_eq!(receiver.join().unwrap(), None);
+            });
+        }
+
+        #[test]
+        fn many_producers_deliver_every_value_once_in_producer_order() {
+            // Producers interleave arbitrarily, but each producer's values
+            // arrive exactly once and never reorder among themselves.
+            let queue = Queue::new(4);
+            let (tx, rx) = queue.split();
+            let got = scope(|s| {
+                for p in 0..3u32 {
+                    let tx = tx.clone();
+                    s.spawn(move || (0..200).for_each(|i| tx.send_with(|| (p, i)).unwrap()));
+                }
+                drop(tx);
+                std::iter::from_fn(|| rx.recv()).collect::<Vec<(u32, u32)>>()
+            });
+            assert_eq!(got.len(), 600);
+            for p in 0..3 {
+                let seq: Vec<u32> = got.iter().filter(|(q, _)| *q == p).map(|&(_, i)| i).collect();
+                assert_eq!(seq, (0..200).collect::<Vec<_>>(), "producer {p} order");
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "needs room for one value")]
+        fn zero_capacity_is_rejected() {
+            let _ = Queue::<u8>::new(0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -875,5 +1226,54 @@ mod tests {
             .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
             .unwrap_or_default();
         assert!(message.contains("boom"), "unexpected payload: {message}");
+    }
+
+    #[test]
+    fn a_producer_parked_on_a_full_queue_gets_closed_when_the_collator_panics() {
+        /// Stalls on its first judgement and then panics, so the producer
+        /// fills the 1-deep queue and parks before the collator dies.
+        struct SlowGrenade;
+        impl DriftDetector for SlowGrenade {
+            fn name(&self) -> &'static str {
+                "slow-grenade"
+            }
+            fn judge_one(&self, _e: &[f64], _o: &[f64]) -> Judgement {
+                std::thread::sleep(Duration::from_millis(200));
+                panic!("boom: detector panicked after a stall");
+            }
+        }
+        let front = ServingFrontEnd::new(ServingConfig {
+            pipeline: PipelineConfig { window: 1, shards: 1, ..Default::default() },
+            queue: 1,
+            ..Default::default()
+        });
+        // Serve on a watcher thread, so that a producer left parked fails
+        // the test instead of hanging it.
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                front.serve(&SlowGrenade, |handle| {
+                    // s0 is judging, s1 fills the queue, s2 parks.
+                    for i in 0..8 {
+                        if let Err(err) = handle.submit(sample(i)) {
+                            closed_tx.send((i, err)).unwrap();
+                            return;
+                        }
+                    }
+                })
+            }));
+            let payload = served.expect_err("the detector panic must resurface");
+            let message = payload.downcast_ref::<&str>().map(|s| (*s).to_string());
+            done_tx.send(message.or_else(|| payload.downcast_ref::<String>().cloned())).unwrap();
+        });
+        let message = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the serve call hung: a producer stayed parked after the collator panicked");
+        assert!(message.unwrap_or_default().contains("boom"));
+        let (index, err) = closed_rx.recv().expect("a submit must have failed");
+        assert_eq!(index, 2, "the submit parked behind the full queue is the one refused");
+        let SubmitError::Closed(refused) = err else { panic!("expected Closed, got {err:?}") };
+        assert_eq!(refused.embedding, sample(2).embedding, "the sample comes back");
     }
 }

@@ -2,7 +2,7 @@
 //! Table 1, the ablations, and the sensitivity sweeps — in parallel across
 //! scenarios — and aggregates them the way the paper's figures do.
 
-use parking_lot::Mutex;
+use std::panic::resume_unwind;
 
 use prom_core::nonconformity;
 use prom_core::predictor::PromClassifier;
@@ -82,25 +82,24 @@ impl SuiteScale {
 /// Runs all 12 classification scenarios of Table 1 (C1–C4 × their models)
 /// in parallel threads.
 pub fn run_all_classification(scale: SuiteScale) -> Vec<ScenarioResult> {
-    let mut jobs = Vec::new();
-    for case in CaseId::CLASSIFICATION {
-        for model in models_for(case) {
-            jobs.push(scale.scenario(case, model));
-        }
-    }
-    let results = Mutex::new(Vec::with_capacity(jobs.len()));
+    each_classification_scenario(scale, run_scenario)
+}
+
+/// Runs `run` on every classification scenario of Table 1, one thread
+/// per scenario, and returns the results in scenario order. A panicking
+/// scenario resurfaces on the caller with its own payload.
+fn each_classification_scenario<R: Send>(
+    scale: SuiteScale,
+    run: fn(&ScenarioConfig) -> R,
+) -> Vec<R> {
+    let jobs: Vec<ScenarioConfig> = CaseId::CLASSIFICATION
+        .into_iter()
+        .flat_map(|case| models_for(case).into_iter().map(move |model| scale.scenario(case, model)))
+        .collect();
     std::thread::scope(|s| {
-        for (i, job) in jobs.iter().enumerate() {
-            let results = &results;
-            s.spawn(move || {
-                let r = run_scenario(job);
-                results.lock().push((i, r));
-            });
-        }
-    });
-    let mut collected = results.into_inner();
-    collected.sort_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, r)| r).collect()
+        let threads: Vec<_> = jobs.iter().map(|job| s.spawn(move || run(job))).collect();
+        threads.into_iter().map(|t| t.join().unwrap_or_else(|panic| resume_unwind(panic))).collect()
+    })
 }
 
 /// Runs the C5 regression experiment.
@@ -111,25 +110,7 @@ pub fn run_codegen_suite(scale: SuiteScale) -> CodegenResult {
 /// Fig. 10: Prom vs baselines on every classification scenario, in
 /// parallel.
 pub fn run_baseline_suite(scale: SuiteScale) -> Vec<BaselineComparison> {
-    let mut jobs = Vec::new();
-    for case in CaseId::CLASSIFICATION {
-        for model in models_for(case) {
-            jobs.push(scale.scenario(case, model));
-        }
-    }
-    let results = Mutex::new(Vec::with_capacity(jobs.len()));
-    std::thread::scope(|s| {
-        for (i, job) in jobs.iter().enumerate() {
-            let results = &results;
-            s.spawn(move || {
-                let r = compare_detectors(job);
-                results.lock().push((i, r));
-            });
-        }
-    });
-    let mut collected = results.into_inner();
-    collected.sort_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, r)| r).collect()
+    each_classification_scenario(scale, compare_detectors)
 }
 
 /// Fig. 11: detection quality of each single nonconformity function vs the
@@ -342,6 +323,22 @@ mod tests {
 
     fn tiny() -> SuiteScale {
         SuiteScale { data: 0.1, epochs: 0.15, seed: 2 }
+    }
+
+    #[test]
+    fn scenario_threads_return_results_in_table_order() {
+        // Earlier scenarios finish last, so completion order is reversed.
+        let got = each_classification_scenario(tiny(), |job| {
+            let position = CaseId::CLASSIFICATION.iter().position(|&c| c == job.case).unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(10 * (4 - position as u64)));
+            (job.case, job.model.paper_name)
+        });
+        let expected: Vec<_> = CaseId::CLASSIFICATION
+            .into_iter()
+            .flat_map(|case| models_for(case).into_iter().map(move |m| (case, m.paper_name)))
+            .collect();
+        assert_eq!(got.len(), 12);
+        assert_eq!(got, expected);
     }
 
     #[test]
